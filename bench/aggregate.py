@@ -53,28 +53,11 @@ def flatten(merged: dict) -> dict:
     return out
 
 
-def align(entries: dict, marker: str) -> dict:
-    """Keep only names containing `marker`, with the marker spliced out.
-
-    Two align() projections of the same run line up panels that differ only
-    by the marker (e.g. `...PerQuery256/3/4` vs `...Batched256/3/4` both
-    become `...256/3/4`), so --diff can gate one benchmark family against
-    another — the batched-vs-per-query win condition — instead of only
-    old-run vs new-run of the same name.
-    """
-    return {name.replace(marker, "", 1): v
-            for name, v in entries.items() if marker in name}
-
-
 def diff(old_path: pathlib.Path, new_path: pathlib.Path,
          fail_above: float | None = None,
-         fail_filter: str = "",
-         align_markers: tuple[str, str] | None = None) -> int:
+         fail_filter: str = "") -> int:
     old = flatten(json.loads(old_path.read_text()))
     new = flatten(json.loads(new_path.read_text()))
-    if align_markers is not None:
-        old = align(old, align_markers[0])
-        new = align(new, align_markers[1])
     common = sorted(set(old) & set(new))
     if not common:
         print("no common benchmarks between the two files", file=sys.stderr)
@@ -139,23 +122,13 @@ def main() -> int:
                              "failures (e.g. 'Build' to gate only the "
                              "build-time series); all ratios are still "
                              "printed")
-    parser.add_argument("--align", nargs=2, metavar=("OLD_MARK", "NEW_MARK"),
-                        default=None,
-                        help="with --diff: compare across benchmark families "
-                             "instead of across runs — keep only old-file "
-                             "names containing OLD_MARK and new-file names "
-                             "containing NEW_MARK, splice the markers out, "
-                             "and diff what lines up (e.g. --align PerQuery "
-                             "Batched on one merged run gates batched "
-                             "kernels against their per-query twins)")
     args = parser.parse_args()
 
     if args.diff:
         if len(args.inputs) != 2:
             parser.error("--diff needs exactly two merged files (old new)")
         return diff(pathlib.Path(args.inputs[0]), pathlib.Path(args.inputs[1]),
-                    args.fail_above, args.fail_filter,
-                    tuple(args.align) if args.align else None)
+                    args.fail_above, args.fail_filter)
 
     if len(args.inputs) != 1:
         parser.error("merge mode needs exactly one input directory")

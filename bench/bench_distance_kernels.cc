@@ -8,11 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -175,212 +171,6 @@ void BM_SquaredDtw256(benchmark::State& state) {
   state.SetLabel(simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------- batched multi-query kernels
-//
-// The amortization benchmarks behind the batched-scoring path: score every
-// pool candidate against Q prepared queries, either as Q independent
-// per-query early-abandon scans — query-major, each query sweeping the
-// whole pool on its own, exactly like Q separate QueryExecutions scanning
-// the same leaves — or as one batched-kernel call per candidate (one
-// candidate load serving all Q). Same ISA table, same thresholds,
-// bit-identical outputs — the ratio is the amortization the grouped
-// leaf-scan path banks. The committed baseline records batched beating the
-// per-query scans from Q >= 4 on.
-
-// The multi-query cases run on z-normalized random walks, the paper's data
-// model, instead of the i.i.d. pool above. This matters: i.i.d. Gaussian
-// series concentrate all pairwise distances around one value, so no
-// BSF-style threshold can trigger early abandoning and every scan runs to
-// full length — a regime the leaf-scan path never sees. Random walks keep
-// the heavy distance spread of real series, where most candidates freeze
-// within their first blocks.
-const std::vector<float>& WalkPool() {
-  static const std::vector<float>& pool = *new std::vector<float>([] {
-    std::vector<float> p(kSeries * kLength);
-    Rng rng(131);
-    for (size_t s = 0; s < kSeries; ++s) {
-      float* series = p.data() + s * kLength;
-      double level = 0.0, sum = 0.0, sum_sq = 0.0;
-      for (size_t i = 0; i < kLength; ++i) {
-        level += rng.NextGaussian();
-        series[i] = static_cast<float>(level);
-        sum += level;
-        sum_sq += level * level;
-      }
-      const double mean = sum / kLength;
-      const double var = sum_sq / kLength - mean * mean;
-      const double inv_std = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
-      for (size_t i = 0; i < kLength; ++i) {
-        series[i] = static_cast<float>((series[i] - mean) * inv_std);
-      }
-    }
-    return p;
-  }());
-  return pool;
-}
-
-constexpr int64_t kBatchQ[] = {1, 4, 8, 16};
-
-void ApplyIsaAndQArgs(benchmark::internal::Benchmark* b) {
-  std::vector<int64_t> isas{0};
-  if (simd::SseTable() != nullptr) isas.push_back(1);
-  if (simd::Avx2Table() != nullptr) isas.push_back(2);
-  if (simd::Avx512Table() != nullptr) isas.push_back(3);
-  for (int64_t isa : isas) {
-    for (int64_t q : kBatchQ) b->Args({isa, q});
-  }
-}
-
-std::string BatchLabel(const simd::KernelTable* table, size_t q_count) {
-  return std::string(simd::IsaName(table->isa)) + "/Q=" +
-         std::to_string(q_count);
-}
-
-// BSF-tight per-query thresholds: each query's nearest-neighbor distance over
-// a sampled eighth of the pool. Exact leaf scans only run after the
-// approximate phase has seeded a near-optimal BSF, so this — not a loose
-// random-pair distance — is the abandonment regime the leaf-scan kernels
-// actually see. (For the LB_Keogh cases the same squared-ED minimum stands
-// in for the DTW BSF; ED bounds DTW from above, so it is a valid if
-// slightly loose BSF.)
-std::vector<float> BatchThresholds(const simd::KernelTable* table,
-                                   size_t q_count) {
-  const std::vector<float>& pool = WalkPool();
-  std::vector<float> thresholds(q_count);
-  for (size_t q = 0; q < q_count; ++q) {
-    float best = std::numeric_limits<float>::infinity();
-    for (size_t i = q_count + 1; i < kSeries; i += 8) {
-      best = std::min(best, table->squared_euclidean(
-                                pool.data() + q * kLength,
-                                pool.data() + i * kLength, kLength));
-    }
-    thresholds[q] = best;
-  }
-  return thresholds;
-}
-
-void BM_MultiQueryEuclideanPerQuery256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t q = 0; q < q_count; ++q) {
-      const float* query = pool.data() + q * kLength;
-      for (size_t i = q_count + 1; i < kSeries; ++i) {
-        checksum += table->squared_euclidean_early_abandon(
-            query, pool.data() + i * kLength, kLength, thresholds[q]);
-      }
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryEuclideanPerQuery256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MultiQueryEuclideanBatched256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const size_t stride = simd::BatchStride(q_count);
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  std::vector<float> block(kLength * stride, 0.0f);
-  for (size_t q = 0; q < q_count; ++q) {
-    for (size_t i = 0; i < kLength; ++i) {
-      block[i * stride + q] = pool[q * kLength + i];
-    }
-  }
-  std::vector<float> out(q_count);
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t i = q_count + 1; i < kSeries; ++i) {
-      table->batched_squared_euclidean_early_abandon(
-          pool.data() + i * kLength, block.data(), kLength, stride, q_count,
-          thresholds.data(), out.data());
-      checksum += out[0];
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryEuclideanBatched256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MultiQueryLbKeoghPerQuery256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  std::vector<Envelope> envelopes;
-  for (size_t q = 0; q < q_count; ++q) {
-    envelopes.push_back(BuildEnvelope(pool.data() + q * kLength, kLength, 13));
-  }
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t q = 0; q < q_count; ++q) {
-      const float* upper = envelopes[q].upper.data();
-      const float* lower = envelopes[q].lower.data();
-      for (size_t i = q_count + 1; i < kSeries; ++i) {
-        checksum += table->lb_keogh_early_abandon(
-            upper, lower, pool.data() + i * kLength, kLength, thresholds[q]);
-      }
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryLbKeoghPerQuery256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_MultiQueryLbKeoghBatched256(benchmark::State& state) {
-  const simd::KernelTable* table = TableForArg(state.range(0));
-  const size_t q_count = static_cast<size_t>(state.range(1));
-  const size_t stride = simd::BatchStride(q_count);
-  const std::vector<float>& pool = WalkPool();
-  const std::vector<float> thresholds = BatchThresholds(table, q_count);
-  std::vector<float> upper_block(kLength * stride, 0.0f);
-  std::vector<float> lower_block(kLength * stride, 0.0f);
-  for (size_t q = 0; q < q_count; ++q) {
-    const Envelope env = BuildEnvelope(pool.data() + q * kLength, kLength, 13);
-    for (size_t i = 0; i < kLength; ++i) {
-      upper_block[i * stride + q] = env.upper[i];
-      lower_block[i * stride + q] = env.lower[i];
-    }
-  }
-  std::vector<float> out(q_count);
-  float checksum = 0.0f;
-  for (auto _ : state) {
-    for (size_t i = q_count + 1; i < kSeries; ++i) {
-      table->batched_lb_keogh_early_abandon(
-          pool.data() + i * kLength, upper_block.data(), lower_block.data(),
-          kLength, stride, q_count, thresholds.data(), out.data());
-      checksum += out[0];
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kSeries - q_count - 1) *
-                          static_cast<int64_t>(q_count));
-  state.SetLabel(BatchLabel(table, q_count));
-}
-BENCHMARK(BM_MultiQueryLbKeoghBatched256)
-    ->Apply(ApplyIsaAndQArgs)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace odyssey

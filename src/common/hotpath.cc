@@ -4,8 +4,7 @@ namespace odyssey {
 namespace hotpath {
 namespace {
 
-// Depth counters rather than flags so regions and allowances nest safely
-// (a grouped scan may re-enter through a per-query fallback path).
+// Depth counters rather than flags so regions and allowances nest safely.
 thread_local int hot_depth = 0;
 thread_local int allowance_depth = 0;
 

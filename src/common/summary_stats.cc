@@ -152,74 +152,12 @@ void CountChunkPlaced() {
 
 }  // namespace executor_stats
 
-namespace scan_stats {
-namespace {
-
-// Incremented once per batched-kernel call (one call covers a whole leaf ×
-// query-group product), not per distance — cheap even on the scan path.
-// Donations are rarer still (once per granted slice, on the comms thread).
-alignas(64) std::atomic<uint64_t> g_batched_score_calls{0};
-alignas(64) std::atomic<uint64_t> g_series_loads_saved{0};
-alignas(64) std::atomic<uint64_t> g_multi_score_calls{0};
-alignas(64) std::atomic<uint64_t> g_multi_score_lanes{0};
-alignas(64) std::atomic<uint64_t> g_batches_donated{0};
-alignas(64) std::atomic<uint64_t> g_donated_series_scanned{0};
-
-}  // namespace
-
-uint64_t BatchedScoreCalls() {
-  return g_batched_score_calls.load(std::memory_order_relaxed);
-}
-uint64_t SeriesLoadsSaved() {
-  return g_series_loads_saved.load(std::memory_order_relaxed);
-}
-uint64_t MultiScoreCalls() {
-  return g_multi_score_calls.load(std::memory_order_relaxed);
-}
-uint64_t MultiScoreLanes() {
-  return g_multi_score_lanes.load(std::memory_order_relaxed);
-}
-uint64_t BatchesDonated() {
-  return g_batches_donated.load(std::memory_order_relaxed);
-}
-uint64_t DonatedSeriesScanned() {
-  return g_donated_series_scanned.load(std::memory_order_relaxed);
-}
-
-void Reset() {
-  g_batched_score_calls.store(0, std::memory_order_relaxed);
-  g_series_loads_saved.store(0, std::memory_order_relaxed);
-  g_multi_score_calls.store(0, std::memory_order_relaxed);
-  g_multi_score_lanes.store(0, std::memory_order_relaxed);
-  g_batches_donated.store(0, std::memory_order_relaxed);
-  g_donated_series_scanned.store(0, std::memory_order_relaxed);
-}
-
-void CountBatchedScore(uint64_t q_count) {
-  g_batched_score_calls.fetch_add(1, std::memory_order_relaxed);
-  if (q_count > 1) {
-    g_series_loads_saved.fetch_add(q_count - 1, std::memory_order_relaxed);
-  }
-}
-
-void CountMultiScore(uint64_t lanes) {
-  g_multi_score_calls.fetch_add(1, std::memory_order_relaxed);
-  g_multi_score_lanes.fetch_add(lanes, std::memory_order_relaxed);
-}
-
-void CountBatchDonated(uint64_t series) {
-  g_batches_donated.fetch_add(1, std::memory_order_relaxed);
-  g_donated_series_scanned.fetch_add(series, std::memory_order_relaxed);
-}
-
-}  // namespace scan_stats
-
 namespace fault_stats {
 namespace {
 
 // Fault decisions happen once per SimCluster::Send under an injector-local
 // mutex, and recovery actions are rarer still — contention is a non-issue;
-// own cache lines keep them from false-sharing the hot scan counters above.
+// own cache lines keep them from false-sharing the hot counters above.
 alignas(64) std::atomic<uint64_t> g_messages_dropped{0};
 alignas(64) std::atomic<uint64_t> g_messages_delayed{0};
 alignas(64) std::atomic<uint64_t> g_messages_duplicated{0};

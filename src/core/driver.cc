@@ -208,17 +208,6 @@ class CoordinatorRecovery {
 
 }  // namespace
 
-bool DefaultBatchedScoring() {
-  const char* env = std::getenv("ODYSSEY_BATCHED_SCORING");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
-bool DefaultStealDonation() {
-  const char* env = std::getenv("ODYSSEY_STEAL_DONATION");
-  if (env == nullptr || *env == '\0') return true;  // donation defaults on
-  return *env != '0';
-}
-
 int DefaultBatchMaxInflight() {
   const char* env = std::getenv("ODYSSEY_BATCH_INFLIGHT");
   if (env == nullptr || *env == '\0') return 0;  // auto
@@ -636,17 +625,14 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   node_options.threshold_model = options_.threshold_model;
   node_options.share_bsf = options_.share_bsf;
   node_options.use_executor = options_.use_executor;
-  node_options.batched_scoring = options_.batched_scoring;
-  node_options.steal_donation = options_.steal_donation;
   // Admission depth: the executor path admits up to a pool's width of
-  // statically-delivered queries — with batched scoring, one leaf scan
-  // then serves the whole admitted group — and stolen/donated work charges
-  // the same in-flight budget. The legacy spawn path keeps the paper's
+  // statically-delivered queries, and stolen work charges the same
+  // in-flight budget. The legacy spawn path keeps the paper's
   // strict one-at-a-time batch model (every in-flight query there spawns
   // its own thread complement).
   if (options_.batch_max_inflight > 0) {
     node_options.max_inflight = options_.batch_max_inflight;
-  } else if (options_.use_executor || node_options.batched_scoring) {
+  } else if (options_.use_executor) {
     node_options.max_inflight =
         std::max(1, options_.query_options.num_threads);
   } else {
@@ -896,10 +882,6 @@ BatchReport OdysseyCluster::AnswerStream(
   // A node with idle workers runs several admitted queries concurrently,
   // partitioning its pool, instead of strictly one at a time.
   node_options.max_inflight = std::max(1, options_.stream_max_inflight);
-  // With batched scoring, concurrently-admitted arrivals are scored as one
-  // group instead of partitioning the pool between them.
-  node_options.batched_scoring = options_.batched_scoring;
-  node_options.steal_donation = options_.steal_donation;
   // Arm unsolicited heartbeats only when the liveness deadline is: silent
   // compute must read as busy, and without a deadline pings are noise.
   node_options.liveness_heartbeat_seconds =

@@ -4,13 +4,11 @@
 #include <barrier>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/math_utils.h"
 #include "src/common/stopwatch.h"
-#include "src/common/summary_stats.h"
 #include "src/common/thread_pool.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
@@ -19,15 +17,6 @@ namespace odyssey {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// Grouped-scan routing cut for Euclidean candidates: series with at least
-/// this many surviving members take the interleaved batched kernel (its
-/// candidate-load amortization wins once enough lanes are live); series
-/// below it defer into the per-member multi-candidate queues. A routing
-/// policy, not a kernel property — the deferral queue capacity is the wider
-/// simd::kMultiCandidateLanes. Either route produces bit-identical sums, so
-/// the cut is a pure performance knob.
-constexpr size_t kBatchedRouteOccupancy = 4;
 }  // namespace
 
 bool AtomicFetchMinFloat(std::atomic<float>* cell, float value) {
@@ -465,10 +454,6 @@ ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,
 }
 
 ODYSSEY_HOT std::vector<int> QueryExecution::StealBatches(int nsend) {
-  // A grouped member's per-query queues were drained into the group's
-  // merged work list; its stealable currency is the group's (member,
-  // batch) slices, so the group answers on its behalf.
-  if (group_ != nullptr) return group_->DonateBatches(group_member_, nsend);
   MutexLock lock(&steal_mu_);
   std::vector<int> given;
   if (phase_.load(std::memory_order_acquire) !=
@@ -514,538 +499,6 @@ ODYSSEY_HOT std::vector<int> QueryExecution::StealBatches(int nsend) {
   return given;
 }
 
-GroupedQueryExecution::GroupedQueryExecution(
-    std::vector<QueryExecution*> members)
-    : members_(std::move(members)) {
-  ODYSSEY_CHECK_MSG(!members_.empty(),
-                    "grouped execution needs at least one member");
-  const QueryExecution* first = members_[0];
-  n_ = first->index_->config().series_length();
-  stride_ = simd::BatchStride(members_.size());
-  for (const QueryExecution* m : members_) {
-    ODYSSEY_CHECK_MSG(m->index_ == first->index_,
-                      "grouped members must target the same index");
-    ODYSSEY_CHECK_MSG(m->options_.use_dtw == first->options_.use_dtw &&
-                          m->options_.dtw_window == first->options_.dtw_window,
-                      "grouped members must share the distance mode");
-    ODYSSEY_CHECK_MSG(!m->options_.approximate,
-                      "grouped execution is exact-search only");
-    ODYSSEY_CHECK_MSG(
-        m->batch_ranges_.size() == first->batch_ranges_.size(),
-        "grouped members must share the RS-batch partition (donated batch "
-        "ids travel the steal wire)");
-    if (m->options_.use_dtw) {
-      ODYSSEY_CHECK(m->envelope_->length() == n_);
-    }
-  }
-  batch_count_ = first->batch_ranges_.size();
-  scalar_ = &simd::ScalarTable();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    members_[q]->group_ = this;
-    members_[q]->group_member_ = static_cast<int>(q);
-  }
-}
-
-GroupedQueryExecution::~GroupedQueryExecution() {
-  for (QueryExecution* m : members_) {
-    m->group_ = nullptr;
-    m->group_member_ = -1;
-  }
-}
-
-void GroupedQueryExecution::BuildQueryBlock() {
-  // Point-major interleave: lane q of point i lives at [i * stride_ + q].
-  // Padding lanes (q_count..stride_) stay zero — the batched kernels never
-  // freeze or store them, they only need the loads to be in-bounds.
-  if (members_[0]->options_.use_dtw) {
-    upper_.assign(n_ * stride_, 0.0f);
-    lower_.assign(n_ * stride_, 0.0f);
-    for (size_t q = 0; q < members_.size(); ++q) {
-      const Envelope* env = members_[q]->envelope_;
-      for (size_t i = 0; i < n_; ++i) {
-        upper_[i * stride_ + q] = env->upper[i];
-        lower_[i * stride_ + q] = env->lower[i];
-      }
-    }
-  } else {
-    values_.assign(n_ * stride_, 0.0f);
-    for (size_t q = 0; q < members_.size(); ++q) {
-      const float* query = members_[q]->query_;
-      for (size_t i = 0; i < n_; ++i) {
-        values_[i * stride_ + q] = query[i];
-      }
-    }
-  }
-}
-
-void GroupedQueryExecution::AppendLeafEntry(
-    std::unordered_map<const TreeNode*, size_t>* slot, const PqItem& item,
-    int member, int batch) {
-  auto [it, inserted] = slot->try_emplace(item.leaf, work_.size());
-  if (inserted) {
-    work_.push_back({item.leaf, item.lower_bound, {}});
-  }
-  LeafWork& unit = work_[it->second];
-  unit.min_lb = std::min(unit.min_lb, item.lower_bound);
-  unit.members.push_back({member, item.lower_bound, batch});
-}
-
-void GroupedQueryExecution::PublishWork() {
-  // Same global order as the per-query path's phase 2: most promising leaf
-  // (smallest lower bound over its members) first, so BSFs tighten early.
-  std::sort(work_.begin(), work_.end(),
-            [](const LeafWork& a, const LeafWork& b) {
-              return a.min_lb < b.min_lb;
-            });
-  work_cursor_.store(0, std::memory_order_relaxed);
-  donation_ready_.store(true, std::memory_order_release);
-}
-
-void GroupedQueryExecution::BuildSeedWork() {
-  // Merge each member's ~kSeedLeavesPerMember best leaves into the first
-  // scan wave. The member's queues are each sorted, so a linear peek over
-  // the queue heads per pop is an exact k-way merge; the budget is small
-  // enough that the quadratic peek never shows up. Members stay in
-  // kProcessing: unlike the pre-donation design, which parked them kDone
-  // here, their StealBatches keeps serving thieves through DonateBatches
-  // until the group's Run finishes.
-  MutexLock donate_lock(&donate_mu_);
-  donation_ready_.store(false, std::memory_order_relaxed);
-  std::unordered_map<const TreeNode*, size_t> slot;
-  work_.clear();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    QueryExecution* m = members_[q];
-    MutexLock lock(&m->steal_mu_);
-    for (size_t take = 0; take < kSeedLeavesPerMember; ++take) {
-      BoundedPq* best_queue = nullptr;
-      int best_batch = 0;
-      float best_lb = kInf;
-      for (const auto& ref : m->pq_refs_) {
-        if (ref->queue->empty()) continue;
-        const float lb = ref->queue->MinLowerBound();
-        if (best_queue == nullptr || lb < best_lb) {
-          best_queue = ref->queue;
-          best_batch = ref->batch_id;
-          best_lb = lb;
-        }
-      }
-      if (best_queue == nullptr || best_lb >= m->PruneThreshold()) break;
-      AppendLeafEntry(&slot, best_queue->Pop(), static_cast<int>(q),
-                      best_batch);
-    }
-  }
-  // Arm the donation slice states. Published with a release so the comms
-  // thread's DonateBatches reads a complete work list.
-  const size_t slices = members_.size() * batch_count_;
-  if (donate_state_ == nullptr) {
-    donate_state_ = std::make_unique<std::atomic<uint8_t>[]>(slices);
-  }
-  for (size_t i = 0; i < slices; ++i) {
-    donate_state_[i].store(kSliceOpen, std::memory_order_relaxed);
-  }
-  PublishWork();
-}
-
-void GroupedQueryExecution::BuildMainWork() {
-  // Drain what the seed wave left of every member's sorted queues into
-  // leaf-level work units — with the per-query path's cutoff, now backed by
-  // post-seed thresholds: a queue head that cannot beat its member's BSF
-  // proves the whole remaining queue cannot (sorted ascending, and the
-  // threshold only ever tightens), so the tail is dropped unpopped. This is
-  // the lazy pruning the eager single-pass merge used to forfeit — it paid
-  // pop + hash + sort for every traversal-surviving leaf, where the
-  // per-query path stops popping at the first unbeatable head. A leaf
-  // appears at most once per member (the traversal inserts each leaf
-  // once), so each (leaf, member) pair lands exactly once across the two
-  // waves.
-  MutexLock donate_lock(&donate_mu_);
-  donation_ready_.store(false, std::memory_order_relaxed);
-  std::unordered_map<const TreeNode*, size_t> slot;
-  work_.clear();
-  for (size_t q = 0; q < members_.size(); ++q) {
-    QueryExecution* m = members_[q];
-    MutexLock lock(&m->steal_mu_);
-    for (const auto& ref : m->pq_refs_) {
-      // A slice donated during the seed wave belongs to its thief, which
-      // re-runs the whole batch on its own replica — draining it here would
-      // only rebuild work the scan is obliged to skip.
-      if (donate_state_[SliceIndex(static_cast<int>(q), ref->batch_id)].load(
-              std::memory_order_acquire) == kSliceDonated) {
-        continue;
-      }
-      const float threshold = m->PruneThreshold();
-      while (!ref->queue->empty()) {
-        if (ref->queue->MinLowerBound() >= threshold) break;
-        AppendLeafEntry(&slot, ref->queue->Pop(), static_cast<int>(q),
-                        ref->batch_id);
-      }
-    }
-  }
-  PublishWork();
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::GroupedProcessing() {
-  // Lane buffers come from the worker's reusable scratch — the per-entry
-  // vector constructions this body used to perform (4 per worker per
-  // epoch) were a checker finding.
-  const size_t q_count = members_.size();
-  QueryScratch& scratch = QueryScratch::ForThisThread();
-  scratch.thresholds.assign(q_count, 0.0f);
-  scratch.out.assign(q_count, 0.0f);
-  scratch.pass.assign(q_count, 0);
-  scratch.active.clear();
-  scratch.active.reserve(q_count);
-  scratch.lone_series.assign(q_count * simd::kMultiCandidateLanes, nullptr);
-  scratch.lone_ids.assign(q_count * simd::kMultiCandidateLanes, 0);
-  scratch.lone_count.assign(q_count, 0);
-  hotpath::ScopedHotRegion hot_region;
-  for (;;) {
-    const size_t i = work_cursor_.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= work_.size()) break;
-    ScanLeafGrouped(work_[i], &scratch);
-  }
-  // Work list drained: score whatever deferred candidates are still parked
-  // in this worker's lane queues. Queues deliberately span leaves — a leaf
-  // rarely yields kMultiCandidateLanes low-occupancy survivors for one
-  // member, and partial flushes forfeit the ILP the deferral exists to
-  // harvest. Deferring an offer never changes a reported distance (full
-  // sums are threshold-independent); it can only delay a BSF improvement by
-  // at most kMultiCandidateLanes - 1 candidates per member.
-  for (size_t q = 0; q < q_count; ++q) {
-    FlushLoneCandidates(static_cast<int>(q), &scratch);
-  }
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::ScanLeafGrouped(const LeafWork& work,
-                                                        QueryScratch* scratch) {
-  // Leaf-level pruning per member, mirroring ProcessQueue's head check: a
-  // member whose bound for this leaf no longer beats its threshold skips
-  // the whole leaf. Before the bound check, each contribution consults its
-  // (member, batch) donation state: a donated slice's remaining leaves
-  // belong to the thief, which re-runs the whole batch on its replica —
-  // skipping here trades the leaf's scan for the thief's (already-scanned
-  // leaves of the batch just become deduplicated double-coverage).
-  scratch->active.clear();
-  for (const Contribution& c : work.members) {
-    if (donate_state_[SliceIndex(c.member, c.batch)].load(
-            std::memory_order_acquire) == kSliceDonated) {
-      continue;
-    }
-    if (c.lb < members_[c.member]->PruneThreshold()) {
-      scratch->active.push_back(c.member);
-    }
-  }
-  if (scratch->active.empty()) return;
-  for (int q : scratch->active) {
-    members_[q]->stat_leaves_processed_.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  const TreeNode* leaf = work.leaf;
-  const QueryExecution* first = members_[0];
-  const bool use_dtw = first->options_.use_dtw;
-  const simd::KernelTable* kernels = first->kernels_;
-  const size_t q_count = members_.size();
-  const auto& ids = leaf->ids();
-  if (scratch->active.size() == 1) {
-    // One active member for the whole leaf — the common case in a mixed
-    // batch, where co-resident queries rarely want the same leaves. Run
-    // the lean per-query scan shape (threshold, summary filter, distance)
-    // with none of the lane bookkeeping: no threshold/pass resets per
-    // series, no interleaved block traffic. Euclidean candidates are
-    // deferred in lanes of simd::kMultiCandidateLanes and scored through
-    // the multi-candidate kernel — strict scalar point order per lane, so
-    // answers cannot depend on how many members happened to share the
-    // leaf, but the independent add chains run at near-vector throughput.
-    const int lone = scratch->active[0];
-    QueryExecution* m = members_[lone];
-    for (size_t s = 0; s < ids.size(); ++s) {
-      const float threshold = m->PruneThreshold();
-      if (m->SeriesLowerBound(leaf->leaf_sax(s)) >= threshold) continue;
-      const float* series = first->index_->data().data(ids[s]);
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-      if (use_dtw) {
-        const float lb = scalar_->lb_keogh_early_abandon(
-            m->envelope_->upper.data(), m->envelope_->lower.data(), series,
-            n_, threshold);
-        if (lb >= threshold) continue;
-        const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                               m->options_.dtw_window,
-                                               threshold);
-        if (d < threshold) m->OfferCandidate(d, ids[s]);
-      } else {
-        QueueLoneCandidate(lone, series, ids[s], scratch);
-      }
-    }
-    return;
-  }
-  for (size_t s = 0; s < ids.size(); ++s) {
-    // Per-series summary filter per member, as in ScanLeaf. Members that
-    // filter out (or were inactive for the leaf) get a 0.0 threshold: their
-    // lane freezes after the first abandon check and its output is ignored
-    // (squared distances are never < 0), so one batched call serves exactly
-    // the surviving subset.
-    std::fill(scratch->thresholds.begin(), scratch->thresholds.end(), 0.0f);
-    std::fill(scratch->pass.begin(), scratch->pass.end(), uint8_t{0});
-    size_t passing = 0;
-    int lone = -1;
-    for (int q : scratch->active) {
-      const float threshold = members_[q]->PruneThreshold();
-      if (members_[q]->SeriesLowerBound(leaf->leaf_sax(s)) >= threshold) {
-        continue;
-      }
-      scratch->thresholds[q] = threshold;
-      scratch->pass[q] = 1;
-      lone = q;
-      ++passing;
-    }
-    if (passing == 0) continue;
-    const float* series = first->index_->data().data(ids[s]);
-    if (use_dtw && passing == 1) {
-      // Lone DTW survivor: the batched LB_Keogh block doesn't amortize for
-      // one live lane — bound through the per-query *scalar* kernel, which
-      // the batched lanes are bit-identical to by contract.
-      QueryExecution* m = members_[lone];
-      const float threshold = scratch->thresholds[lone];
-      m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-      const float lb = scalar_->lb_keogh_early_abandon(
-          m->envelope_->upper.data(), m->envelope_->lower.data(), series, n_,
-          threshold);
-      if (lb >= threshold) continue;
-      const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                             m->options_.dtw_window,
-                                             threshold);
-      if (d < threshold) m->OfferCandidate(d, ids[s]);
-      continue;
-    }
-    if (!use_dtw && passing < kBatchedRouteOccupancy) {
-      // Low occupancy: the interleaved block is 16 lanes wide regardless of
-      // how few are live, so at 1-3 survivors the batched kernel drags
-      // mostly-dead lanes through the cache. Defer the candidate into each
-      // survivor's multi-candidate lane queue instead (capacity
-      // simd::kMultiCandidateLanes, deliberately wider than this routing
-      // cut so full flushes feed the kernel's widest pass); the flush
-      // passes accumulate in strict scalar point order, so a candidate's
-      // reported distance still never depends on how many members happened
-      // to pass the filter. Mixed batches share little — most of their
-      // series land here, which is where the Fig13d mixed-batch panel
-      // loses against the per-query path without this fork. The per-query
-      // *vector* kernels stay off-limits: they reduce lane partials and
-      // differ from the scalar family by ulps.
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        members_[q]->stat_real_distances_.fetch_add(
-            1, std::memory_order_relaxed);
-        QueueLoneCandidate(q, series, ids[s], scratch);
-      }
-      continue;
-    }
-    // Enough survivors to fill the block's live lanes (Euclidean:
-    // kBatchedRouteOccupancy or more; DTW: two or more): the batched kernel
-    // amortizes the candidate load across them.
-    scan_stats::CountBatchedScore(passing);
-    if (use_dtw) {
-      // Batched LB_Keogh; only survivors pay their member's DTW DP, exactly
-      // like RealDistance.
-      kernels->batched_lb_keogh_early_abandon(
-          series, upper_.data(), lower_.data(), n_, stride_, q_count,
-          scratch->thresholds.data(), scratch->out.data());
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-        const float threshold = scratch->thresholds[q];
-        if (scratch->out[q] >= threshold) continue;
-        const float d = SquaredDtwEarlyAbandon(series, m->query_, n_,
-                                               m->options_.dtw_window,
-                                               threshold);
-        if (d < threshold) m->OfferCandidate(d, ids[s]);
-      }
-    } else {
-      kernels->batched_squared_euclidean_early_abandon(
-          series, values_.data(), n_, stride_, q_count,
-          scratch->thresholds.data(), scratch->out.data());
-      for (int q : scratch->active) {
-        if (scratch->pass[q] == 0) continue;
-        QueryExecution* m = members_[q];
-        m->stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-        if (scratch->out[q] < scratch->thresholds[q]) {
-          m->OfferCandidate(scratch->out[q], ids[s]);
-        }
-      }
-    }
-  }
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::QueueLoneCandidate(
-    int q, const float* series, uint32_t id, QueryScratch* scratch) {
-  const size_t base = static_cast<size_t>(q) * simd::kMultiCandidateLanes;
-  uint8_t& count = scratch->lone_count[q];
-  scratch->lone_series[base + count] = series;
-  scratch->lone_ids[base + count] = id;
-  if (++count == simd::kMultiCandidateLanes) FlushLoneCandidates(q, scratch);
-}
-
-ODYSSEY_HOT void GroupedQueryExecution::FlushLoneCandidates(
-    int q, QueryScratch* scratch) {
-  uint8_t& count = scratch->lone_count[q];
-  if (count == 0) return;
-  QueryExecution* m = members_[q];
-  const size_t base = static_cast<size_t>(q) * simd::kMultiCandidateLanes;
-  const float threshold = m->PruneThreshold();
-  float out[simd::kMultiCandidateLanes];
-  scan_stats::CountMultiScore(count);
-  simd::MultiSquaredEuclideanEarlyAbandon(
-      m->query_, &scratch->lone_series[base], count, n_, threshold, out);
-  const uint8_t pending = count;
-  count = 0;
-  for (uint8_t c = 0; c < pending; ++c) {
-    if (out[c] < threshold) {
-      m->OfferCandidate(out[c], scratch->lone_ids[base + c]);
-    }
-  }
-}
-
-void GroupedQueryExecution::Run(ThreadPool* pool) { RunImpl(nullptr, pool); }
-
-void GroupedQueryExecution::RunBatchSubset(const std::vector<int>& batch_ids,
-                                           ThreadPool* pool) {
-  RunImpl(&batch_ids, pool);
-}
-
-ODYSSEY_HOT std::vector<int> GroupedQueryExecution::DonateBatches(int member,
-                                                                  int nsend) {
-  std::vector<int> given;
-  // donate_mu_ serializes this walk of work_ against the build passes: the
-  // ready flag alone says a list exists, not that the next build pass will
-  // wait for us to finish reading it.
-  MutexLock donate_lock(&donate_mu_);
-  if (!donation_ready_.load(std::memory_order_acquire)) return given;
-  // Take-Away analogue of StealBatches: rank this member's still-open
-  // slices by the candidate series in work units the claim cursor has not
-  // reached — the local scanning a handoff actually saves. Computed once
-  // per request against the immutable work list (the cursor only moves
-  // forward, so a stale snapshot can only *overestimate* savings, never
-  // donate a drained slice as a fresh one). The remaining-series
-  // accumulator reuses the comms thread's steal-snapshot scratch buffer.
-  const size_t cursor =
-      std::min(work_cursor_.load(std::memory_order_acquire), work_.size());
-  QueryScratch& scratch = QueryScratch::ForThisThread();
-  std::vector<size_t>& remaining = scratch.first_unclaimed;
-  remaining.assign(batch_count_, 0);
-  for (size_t i = cursor; i < work_.size(); ++i) {
-    for (const Contribution& c : work_[i].members) {
-      if (c.member == member) {
-        remaining[static_cast<size_t>(c.batch)] +=
-            work_[i].leaf->ids().size();
-      }
-    }
-  }
-  for (int round = 0; round < nsend; ++round) {
-    int best = -1;
-    size_t best_remaining = 0;
-    for (size_t b = 0; b < batch_count_; ++b) {
-      const size_t s = SliceIndex(member, static_cast<int>(b));
-      if (remaining[b] == 0) continue;  // drained or absent: nothing to save
-      if (donate_state_[s].load(std::memory_order_acquire) != kSliceOpen) {
-        continue;
-      }
-      if (best < 0 || remaining[b] > best_remaining) {
-        best = static_cast<int>(b);
-        best_remaining = remaining[b];
-      }
-    }
-    if (best < 0) break;
-    uint8_t expected = kSliceOpen;
-    if (!donate_state_[SliceIndex(member, best)].compare_exchange_strong(
-            expected, kSliceDonated, std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      continue;  // a concurrent donor beat us; spend the round elsewhere
-    }
-    scan_stats::CountBatchDonated(best_remaining);
-    remaining[static_cast<size_t>(best)] = 0;
-    given.push_back(best);
-  }
-  return given;
-}
-
-void GroupedQueryExecution::RunImpl(const std::vector<int>* batch_subset,
-                                    ThreadPool* pool) {
-  int num_threads = 1;
-  for (QueryExecution* m : members_) {
-    ODYSSEY_CHECK_MSG(m->seeded_, "grouped Run before SeedInitialBsf");
-    num_threads = std::max(num_threads, m->options_.num_threads);
-  }
-  Stopwatch watch;
-  BuildQueryBlock();
-  if (batch_subset != nullptr) {
-    for (QueryExecution* m : members_) m->ArmBatches(*batch_subset);
-  } else {
-    std::vector<int> all_ids(batch_count_);
-    for (size_t i = 0; i < all_ids.size(); ++i) {
-      all_ids[i] = static_cast<int>(i);
-    }
-    for (QueryExecution* m : members_) m->ArmBatches(all_ids);
-  }
-  auto traverse_all = [this](int) {
-    for (QueryExecution* m : members_) m->TraversalPhase();
-  };
-  auto preprocess_and_seed = [this] {
-    for (QueryExecution* m : members_) m->PreprocessQueues();
-    BuildSeedWork();
-  };
-  // The scan runs in two waves: a small seed wave (each member's most
-  // promising leaves) whose scanning tightens every BSF to near-final, then
-  // the main wave, whose build can therefore drop the long queue tails the
-  // per-query path never pops either.
-  if (pool != nullptr) {
-    // Executor path, as in QueryExecution::Run: each parallel phase is one
-    // TaskGroup epoch, the Wait is the phase barrier.
-    TaskGroup group(pool);
-    group.RunTasks(num_threads, traverse_all);
-    preprocess_and_seed();
-    group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
-    BuildMainWork();
-    group.RunTasks(num_threads, [this](int) { GroupedProcessing(); });
-  } else if (num_threads == 1) {
-    traverse_all(0);
-    preprocess_and_seed();
-    GroupedProcessing();
-    BuildMainWork();
-    GroupedProcessing();
-  } else {
-    // Legacy spawn-and-join path, kept so the grouped scan can be
-    // benchmarked without the executor (spawns counted via CountedThread).
-    std::barrier barrier(num_threads);
-    auto worker = [&](int tid) {
-      traverse_all(tid);
-      barrier.arrive_and_wait();
-      if (tid == 0) preprocess_and_seed();
-      barrier.arrive_and_wait();
-      GroupedProcessing();
-      barrier.arrive_and_wait();
-      if (tid == 0) BuildMainWork();
-      barrier.arrive_and_wait();
-      GroupedProcessing();
-    };
-    std::vector<CountedThread> threads;
-    threads.reserve(num_threads);
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&worker, t] { worker(t); });
-    }
-    for (auto& t : threads) t.Join();
-  }
-  // Only now do the members go kDone (the pre-donation design parked them
-  // in BuildLeafWork): a steal request landing between merge and drain was
-  // dead weight then, and is a donation now.
-  for (QueryExecution* m : members_) {
-    MutexLock lock(&m->steal_mu_);
-    m->phase_.store(static_cast<int>(QueryExecution::Phase::kDone),
-                    std::memory_order_release);
-  }
-  const double elapsed = watch.ElapsedSeconds();
-  for (QueryExecution* m : members_) m->stat_elapsed_seconds_ += elapsed;
-}
-
 QueryScratch& QueryScratch::ForThisThread() {
   // Function-local so construction is lazy (only threads that run query
   // phases pay for it) and destruction is tied to thread exit.
@@ -1053,17 +506,10 @@ QueryScratch& QueryScratch::ForThisThread() {
   return scratch;
 }
 
-void QueryScratch::Reserve(size_t batches, size_t queues, size_t group_lanes) {
+void QueryScratch::Reserve(size_t batches, size_t queues) {
   armed.reserve(batches);
   first_unclaimed.reserve(batches);
   refs.reserve(queues);
-  thresholds.reserve(group_lanes);
-  out.reserve(group_lanes);
-  pass.reserve(group_lanes);
-  active.reserve(group_lanes);
-  lone_series.reserve(group_lanes * simd::kMultiCandidateLanes);
-  lone_ids.reserve(group_lanes * simd::kMultiCandidateLanes);
-  lone_count.reserve(group_lanes);
 }
 
 PreparedQuery PrepareQuery(const float* series, const IsaxConfig& config,

@@ -330,81 +330,6 @@ TEST(SimdKernelTest, EuclideanEarlyAbandonConsistentOnEveryLengthTo256) {
   }
 }
 
-TEST(SimdKernelTest, MultiCandidateBitIdenticalToScalarPerLane) {
-  // The multi-candidate kernel's contract is strict: for EVERY count and
-  // EVERY lane — completed or abandoned — out[c] is bit-equal to the scalar
-  // per-query early-abandon kernel on (query, series[c]). The freeze
-  // semantics make that exact even for abandoned lanes (the lane's sum is
-  // pinned at the 16-point boundary where the scalar kernel would have
-  // returned), so this asserts == on floats, not near-equality. Thresholds
-  // sweep from always-abandon to never-abandon so lanes cross at different
-  // boundaries within one call — the regime where cooperative designs leak
-  // extra accumulation.
-  const simd::KernelTable& scalar = simd::ScalarTable();
-  Rng rng(67);
-  for (const size_t n : {7u, 16u, 40u, 96u, 200u, 256u}) {
-    const std::vector<float> query = RandomSeries(&rng, n);
-    std::vector<std::vector<float>> cands;
-    std::vector<const float*> ptrs;
-    for (size_t c = 0; c < simd::kMultiCandidateLanes; ++c) {
-      cands.push_back(RandomSeries(&rng, n));
-      ptrs.push_back(cands.back().data());
-    }
-    const float full = scalar.squared_euclidean(query.data(), ptrs[0], n);
-    for (const float frac : {0.0f, 0.05f, 0.3f, 0.7f, 1.0f, 4.0f}) {
-      const float threshold = frac * full + 0.25f;
-      for (size_t count = 1; count <= simd::kMultiCandidateLanes; ++count) {
-        float out[simd::kMultiCandidateLanes];
-        simd::MultiSquaredEuclideanEarlyAbandon(query.data(), ptrs.data(),
-                                                count, n, threshold, out);
-        for (size_t c = 0; c < count; ++c) {
-          const float want = scalar.squared_euclidean_early_abandon(
-              query.data(), ptrs[c], n, threshold);
-          ASSERT_EQ(out[c], want) << "n=" << n << " count=" << count
-                                  << " lane=" << c << " thr=" << threshold;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelTest, MultiCandidateForcedTierBitIdentity) {
-  // The kernel may pick different x86 backends by resolved tier and count
-  // (4-lane SSE chain, 8-lane SSE twin chains, 8-lane AVX2), and the
-  // grouped scan's donation/recovery story leans on all of them agreeing
-  // bit-for-bit — a donated batch re-scored as a single-member group must
-  // reproduce the victim's answers. Lanes here are duplicates of one base
-  // set, so a lane's sum must come out identical no matter which backend or
-  // lane position scored it.
-  const simd::KernelTable& scalar = simd::ScalarTable();
-  Rng rng(71);
-  const size_t n = 192;
-  const std::vector<float> query = RandomSeries(&rng, n);
-  const std::vector<float> a = RandomSeries(&rng, n);
-  const std::vector<float> b = RandomSeries(&rng, n);
-  const float exact_a = scalar.squared_euclidean(query.data(), a.data(), n);
-  const float threshold = 0.4f * exact_a;
-  // count=2 routes through the narrow backend, count=8 through the wide
-  // one; lane 0 scores the same candidate in both calls.
-  const float* narrow[2] = {a.data(), b.data()};
-  const float* wide[8] = {a.data(), b.data(), a.data(), b.data(),
-                          a.data(), b.data(), a.data(), b.data()};
-  float out_narrow[simd::kMultiCandidateLanes];
-  float out_wide[simd::kMultiCandidateLanes];
-  simd::MultiSquaredEuclideanEarlyAbandon(query.data(), narrow, 2, n,
-                                          threshold, out_narrow);
-  simd::MultiSquaredEuclideanEarlyAbandon(query.data(), wide, 8, n, threshold,
-                                          out_wide);
-  for (size_t c = 0; c < 8; c += 2) {
-    EXPECT_EQ(out_wide[c], out_narrow[0]) << "lane " << c;
-    EXPECT_EQ(out_wide[c + 1], out_narrow[1]) << "lane " << c + 1;
-  }
-  EXPECT_EQ(out_narrow[0], scalar.squared_euclidean_early_abandon(
-                               query.data(), a.data(), n, threshold));
-  EXPECT_EQ(out_narrow[1], scalar.squared_euclidean_early_abandon(
-                               query.data(), b.data(), n, threshold));
-}
-
 TEST(SimdKernelTest, LbKeoghMatchesScalarOnEveryLengthTo256) {
   const simd::KernelTable& scalar = simd::ScalarTable();
   for (const simd::KernelTable* table : VectorTables()) {
