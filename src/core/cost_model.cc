@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 
 namespace odyssey {
 
@@ -23,13 +24,16 @@ std::vector<CalibrationSample> CollectCalibrationSamples(
   calibration_options.queue_threshold = 0;  // unbounded: observe natural sizes
   const PreparedBatch prepared =
       PrepareBatch(queries, index.config(), calibration_options);
+  // Time the path the cluster runs: phases as tasks on a persistent pool,
+  // created once per call and shared by every sample.
+  ThreadPool pool(static_cast<size_t>(std::max(1, options.num_threads)));
   std::vector<CalibrationSample> samples;
   samples.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryExecution exec(&index, prepared.query(q), calibration_options);
     CalibrationSample sample;
     sample.initial_bsf = exec.SeedInitialBsf();
-    exec.Run();
+    exec.Run(&pool);
     const QueryStats stats = exec.stats();
     sample.exec_seconds = stats.elapsed_seconds;
     sample.median_pq_size = stats.median_queue_size;

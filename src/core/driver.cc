@@ -240,18 +240,26 @@ QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
   return merged;
 }
 
-OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
-                               const OdysseyOptions& options)
+OdysseyCluster::OdysseyCluster(const OdysseyOptions& options)
     : options_(options),
       layout_([&] {
         auto layout = ReplicationLayout::Make(options.num_nodes,
                                               options.num_groups);
         ODYSSEY_CHECK_MSG(layout.ok(), layout.status().ToString().c_str());
         return *layout;
-      }()) {
+      }()),
+      driver_pool_(std::make_unique<ThreadPool>(
+          static_cast<size_t>(std::max(1, options.build_threads_per_node)))) {
+  nodes_.reserve(layout_.num_nodes());
+  for (int n = 0; n < layout_.num_nodes(); ++n) {
+    nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
+  }
+}
+
+OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
+                               const OdysseyOptions& options)
+    : OdysseyCluster(options) {
   ODYSSEY_CHECK(dataset.length() == options.index_options.config.series_length());
-  driver_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
 
   // Stage 1: the coordinator partitions the collection into num_groups
   // chunks.
@@ -269,87 +277,11 @@ OdysseyCluster::OdysseyCluster(const SeriesCollection& dataset,
   }
   partition_seconds_ = watch.ElapsedSeconds();
 
-  // Stage 2: index construction, per replication group.
-  nodes_.reserve(layout_.num_nodes());
-  for (int n = 0; n < layout_.num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
-  }
-  if (options_.share_chunks) {
-    // Shared path: each group materializes and summarizes its chunk exactly
-    // once (Section 3.3: a group's members hold identical data); every
-    // member then builds its own — bit-identical — tree from views of that
-    // one bundle. Under FULL replication this is 1 copy + 1 summarization
-    // instead of Nsn of each.
-    std::vector<std::shared_ptr<const SharedChunk>> bundles(
-        layout_.num_groups());
-    {
-      std::vector<CountedThread> groups;
-      groups.reserve(layout_.num_groups());
-      for (int g = 0; g < layout_.num_groups(); ++g) {
-        groups.emplace_back([&, g] {
-          // NUMA first-touch: bind the build thread to the group's socket
-          // before materializing, so the bundle's pages land on the memory
-          // its replicas will scan. The pool is created after the bind —
-          // child threads inherit the affinity mask.
-          if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
-            executor_stats::CountChunkPlaced();
-          }
-          ThreadPool pool(static_cast<size_t>(
-              std::max(1, options_.build_threads_per_node)));
-          bundles[g] = SharedChunk::Build(dataset.Subset(chunks[g]),
-                                          chunks[g],
-                                          options_.index_options.config,
-                                          &pool);
-        });
-      }
-      for (auto& t : groups) t.Join();
-    }
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
-      });
-    }
-    for (auto& t : builders) t.Join();
-  } else {
-    // Legacy copy path: every node subsets its group's chunk straight out
-    // of the caller's collection and summarizes it privately. Kept for the
-    // shared-vs-copy benchmarks and bit-identity tests.
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        const std::vector<uint32_t>& chunk_ids = chunks[layout_.GroupOf(n)];
-        nodes_[n]->LoadChunk(dataset.Subset(chunk_ids), chunk_ids);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
-      });
-    }
-    for (auto& t : builders) t.Join();
-  }
-}
-
-OdysseyCluster::OdysseyCluster(GroupChunks groups,
-                               const OdysseyOptions& options,
-                               double partition_seconds,
-                               double ingest_seconds,
-                               double overlap_seconds)
-    : options_(options),
-      layout_([&] {
-        auto layout = ReplicationLayout::Make(options.num_nodes,
-                                              options.num_groups);
-        ODYSSEY_CHECK_MSG(layout.ok(), layout.status().ToString().c_str());
-        return *layout;
-      }()),
-      partition_seconds_(partition_seconds),
-      ingest_seconds_(ingest_seconds),
-      overlap_seconds_(overlap_seconds) {
-  driver_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(1, options_.build_threads_per_node)));
-  BuildNodes(std::move(groups));
+  // Stage 2: each group materializes and summarizes its chunk exactly once.
+  BuildNodes([&](int g, ThreadPool* pool) {
+    return SharedChunk::Build(dataset.Subset(chunks[g]), chunks[g],
+                              options_.index_options.config, pool);
+  });
 }
 
 StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
@@ -370,47 +302,40 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
 
   // Stage 0+1 interleaved: pull one bounded chunk at a time and partition
   // it on arrival, appending each group's share directly into the group's
-  // storage. Peak transient heap is one ingest chunk (two with the overlap
-  // pipeline: the chunk being processed + the one in flight); the full
-  // archive only ever exists distributed across the groups (as on a real
-  // cluster). On the shared path each arriving chunk is summarized exactly
-  // once — before partitioning, so DENSITY-AWARE reuses the same table —
-  // and the rows are scattered into per-group tables alongside the series;
-  // the group bundles are then adopted at build time with zero
-  // re-summarization, and with overlap_ingest the next chunk's disk read
-  // runs concurrently with all of this.
+  // storage. Peak transient heap is two ingest chunks (the one being
+  // processed + the one the prefetcher has in flight); the full archive
+  // only ever exists distributed across the groups (as on a real cluster).
+  // Each arriving chunk is summarized exactly once — before partitioning,
+  // so DENSITY-AWARE reuses the same table — and the rows are scattered
+  // into per-group tables alongside the series; the group bundles are then
+  // adopted at build time with zero re-summarization, while the next
+  // chunk's disk read runs concurrently with all of this.
   const IsaxConfig& config = options.index_options.config;
   const size_t w = static_cast<size_t>(config.segments());
-  GroupChunks groups;
-  groups.data.resize(layout->num_groups(), SeriesCollection(source.length()));
-  groups.ids.resize(layout->num_groups());
-  groups.summarized = options.share_chunks;
-  if (groups.summarized) {
-    groups.paa.resize(layout->num_groups());
-    groups.sax.resize(layout->num_groups());
-  }
-  double ingest_seconds = 0.0;
+  const int num_groups = layout->num_groups();
+  std::vector<SeriesCollection> group_data(num_groups,
+                                           SeriesCollection(source.length()));
+  std::vector<std::vector<uint32_t>> group_ids(num_groups);
+  std::vector<std::vector<double>> group_paa(num_groups);
+  std::vector<std::vector<uint8_t>> group_sax(num_groups);
   double partition_seconds = 0.0;
-  ThreadPool pool(options.build_threads_per_node);
-  const bool overlap = options.share_chunks && options.overlap_ingest;
-  std::unique_ptr<ChunkPrefetcher> prefetcher;
-  if (overlap) prefetcher = std::make_unique<ChunkPrefetcher>(&source);
-  Stopwatch watch;
+  double ingest_seconds = 0.0;
+  double overlap_seconds = 0.0;
   uint64_t chunk_index = 0;
-  uint32_t base = 0;  // global id of the current chunk's first series
-  std::vector<double> chunk_paa;
-  std::vector<uint8_t> chunk_sax;
-  for (;; ++chunk_index) {
-    watch.Restart();
-    StatusOr<SeriesCollection> chunk =
-        overlap ? prefetcher->Next() : source.NextChunk();
-    if (!chunk.ok()) return chunk.status();
-    if (!overlap) ingest_seconds += watch.ElapsedSeconds();
-    if (chunk->empty()) break;
-    const size_t n = chunk->size();
-    watch.Restart();
-    const std::vector<uint8_t>* precomputed_sax = nullptr;
-    if (options.share_chunks) {
+  {
+    ThreadPool pool(
+        static_cast<size_t>(std::max(1, options.build_threads_per_node)));
+    ChunkPrefetcher prefetcher(&source);
+    Stopwatch watch;
+    uint32_t base = 0;  // global id of the current chunk's first series
+    std::vector<double> chunk_paa;
+    std::vector<uint8_t> chunk_sax;
+    for (;; ++chunk_index) {
+      StatusOr<SeriesCollection> chunk = prefetcher.Next();
+      if (!chunk.ok()) return chunk.status();
+      if (chunk->empty()) break;
+      const size_t n = chunk->size();
+      watch.Restart();
       chunk_paa.resize(n * w);
       chunk_sax.resize(n * w);
       pool.ParallelFor(n, [&](size_t begin, size_t end) {
@@ -420,107 +345,81 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
           ComputeSaxFromPaa(paa, config, chunk_sax.data() + i * w);
         }
       });
-      precomputed_sax = &chunk_sax;
-    }
-    // Per-chunk seed: kRandomShuffle must not deal every chunk the same
-    // permutation.
-    const std::vector<std::vector<uint32_t>> local = PartitionSeries(
-        *chunk, layout->num_groups(), options.partitioning, config,
-        options.seed + chunk_index, &pool, options.density_options,
-        precomputed_sax);
-    for (int g = 0; g < layout->num_groups(); ++g) {
-      for (uint32_t id : local[g]) {
-        groups.data[g].Append(chunk->data(id));
-        groups.ids[g].push_back(base + id);
-        if (options.share_chunks) {
-          groups.paa[g].insert(groups.paa[g].end(),
-                               chunk_paa.data() + id * w,
-                               chunk_paa.data() + (id + 1) * w);
-          groups.sax[g].insert(groups.sax[g].end(),
-                               chunk_sax.data() + id * w,
-                               chunk_sax.data() + (id + 1) * w);
+      // Per-chunk seed: kRandomShuffle must not deal every chunk the same
+      // permutation.
+      const std::vector<std::vector<uint32_t>> local = PartitionSeries(
+          *chunk, num_groups, options.partitioning, config,
+          options.seed + chunk_index, &pool, options.density_options,
+          &chunk_sax);
+      for (int g = 0; g < num_groups; ++g) {
+        for (uint32_t id : local[g]) {
+          group_data[g].Append(chunk->data(id));
+          group_ids[g].push_back(base + id);
+          group_paa[g].insert(group_paa[g].end(), chunk_paa.data() + id * w,
+                              chunk_paa.data() + (id + 1) * w);
+          group_sax[g].insert(group_sax[g].end(), chunk_sax.data() + id * w,
+                              chunk_sax.data() + (id + 1) * w);
         }
       }
+      base += static_cast<uint32_t>(n);
+      partition_seconds += watch.ElapsedSeconds();
     }
-    base += static_cast<uint32_t>(n);
-    partition_seconds += watch.ElapsedSeconds();
+    ingest_seconds = prefetcher.pull_seconds();
+    overlap_seconds = prefetcher.overlap_seconds();
   }
-  double overlap_seconds = 0.0;
-  if (overlap) {
-    ingest_seconds = prefetcher->pull_seconds();
-    overlap_seconds = prefetcher->overlap_seconds();
-    build_stats::AddOverlapSeconds(overlap_seconds);
-    prefetcher.reset();
-  }
+  build_stats::AddOverlapSeconds(overlap_seconds);
   if (chunk_index == 0) {
     return Status::InvalidArgument("archive is empty: " + source.path());
   }
-  return std::unique_ptr<OdysseyCluster>(
-      new OdysseyCluster(std::move(groups), options, partition_seconds,
-                         ingest_seconds, overlap_seconds));
+  std::unique_ptr<OdysseyCluster> cluster(new OdysseyCluster(options));
+  cluster->partition_seconds_ = partition_seconds;
+  cluster->ingest_seconds_ = ingest_seconds;
+  cluster->overlap_seconds_ = overlap_seconds;
+  // Stage 2: each group adopts its accumulated series + PAA/SAX tables
+  // (computed once per ingest chunk, never recomputed here) — the only
+  // per-group work left is grouping the summarization buffers.
+  cluster->BuildNodes([&](int g, ThreadPool* pool) {
+    return SharedChunk::Adopt(std::move(group_data[g]),
+                              std::move(group_ids[g]),
+                              std::move(group_paa[g]),
+                              std::move(group_sax[g]), config, pool);
+  });
+  return cluster;
 }
 
-void OdysseyCluster::BuildNodes(GroupChunks groups) {
-  nodes_.reserve(layout_.num_nodes());
-  for (int n = 0; n < layout_.num_nodes(); ++n) {
-    nodes_.push_back(std::make_unique<NodeRuntime>(n, layout_));
-  }
-  if (groups.summarized) {
-    // Shared path: each group adopts its accumulated series + PAA/SAX
-    // tables (computed once per ingest chunk, never recomputed here) as one
-    // immutable bundle — the only per-group work left is grouping the
-    // summarization buffers — and every member indexes views of it.
-    std::vector<std::shared_ptr<const SharedChunk>> bundles(
-        layout_.num_groups());
-    {
-      std::vector<CountedThread> adopters;
-      adopters.reserve(layout_.num_groups());
-      for (int g = 0; g < layout_.num_groups(); ++g) {
-        adopters.emplace_back([&, g] {
-          // NUMA first-touch placement — see the in-memory constructor.
-          if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
-            executor_stats::CountChunkPlaced();
-          }
-          ThreadPool pool(static_cast<size_t>(
-              std::max(1, options_.build_threads_per_node)));
-          bundles[g] = SharedChunk::Adopt(
-              std::move(groups.data[g]), std::move(groups.ids[g]),
-              std::move(groups.paa[g]), std::move(groups.sax[g]),
-              options_.index_options.config, &pool);
-        });
-      }
-      for (auto& t : adopters) t.Join();
-    }
-    std::vector<CountedThread> builders;
-    builders.reserve(layout_.num_nodes());
-    for (int n = 0; n < layout_.num_nodes(); ++n) {
-      builders.emplace_back([&, n] {
-        nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
-        nodes_[n]->BuildIndex(options_.index_options,
-                              options_.build_threads_per_node);
+void OdysseyCluster::BuildNodes(
+    const std::function<std::shared_ptr<const SharedChunk>(
+        int group, ThreadPool* pool)>& make_bundle) {
+  // Section 3.3: a group's members hold identical data, so each group
+  // produces one bundle and every member builds its own — bit-identical —
+  // tree from views of it. Under FULL replication this is 1 copy + 1
+  // summarization instead of Nsn of each.
+  std::vector<std::shared_ptr<const SharedChunk>> bundles(
+      layout_.num_groups());
+  {
+    std::vector<CountedThread> groups;
+    groups.reserve(layout_.num_groups());
+    for (int g = 0; g < layout_.num_groups(); ++g) {
+      groups.emplace_back([&, g] {
+        // NUMA first-touch: bind the build thread to the group's socket
+        // before materializing, so the bundle's pages land on the memory
+        // its replicas will scan. The pool is created after the bind —
+        // child threads inherit the affinity mask.
+        if (numa::BindCurrentThread(numa::NodeForGroup(g))) {
+          executor_stats::CountChunkPlaced();
+        }
+        ThreadPool pool(static_cast<size_t>(
+            std::max(1, options_.build_threads_per_node)));
+        bundles[g] = make_bundle(g, &pool);
       });
     }
-    for (auto& t : builders) t.Join();
-    return;
+    for (auto& t : groups) t.Join();
   }
-  // Legacy copy path: every node loads its group's chunk and builds its
-  // index concurrently, as on a real cluster. Replicas copy the group's
-  // chunk (each node's private RAM); a group with a single member moves it
-  // instead, so EQUALLY-SPLIT layouts never duplicate data.
   std::vector<CountedThread> builders;
   builders.reserve(layout_.num_nodes());
   for (int n = 0; n < layout_.num_nodes(); ++n) {
     builders.emplace_back([&, n] {
-      const int g = layout_.GroupOf(n);
-      // Only this thread touches group g's storage when it is the sole
-      // member, so the move cannot race with a replica's copy.
-      const bool sole_member = layout_.GroupMembers(g).size() == 1;
-      SeriesCollection chunk = sole_member
-                                   ? std::move(groups.data[g])
-                                   : SeriesCollection(groups.data[g]);
-      std::vector<uint32_t> ids = sole_member ? std::move(groups.ids[g])
-                                              : groups.ids[g];
-      nodes_[n]->LoadChunk(std::move(chunk), std::move(ids));
+      nodes_[n]->LoadSharedChunk(bundles[layout_.GroupOf(n)]);
       nodes_[n]->BuildIndex(options_.index_options,
                             options_.build_threads_per_node);
     });
@@ -615,34 +514,13 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   SimCluster cluster(layout_.num_nodes(),
                      options_.fault_plan.active() ? &injector : nullptr);
 
-  NodeBatchOptions node_options;
-  node_options.policy = options_.scheduling;
-  node_options.worksteal = options_.worksteal;
-  // Work-stealing requires a peer with identical data: disable when groups
-  // have a single member (EQUALLY-SPLIT), matching the paper's constraint.
-  if (layout_.replication_degree() <= 1) node_options.worksteal.enabled = false;
-  node_options.query_options = options_.query_options;
-  node_options.threshold_model = options_.threshold_model;
-  node_options.share_bsf = options_.share_bsf;
-  node_options.use_executor = options_.use_executor;
-  // Admission depth: the executor path admits up to a pool's width of
-  // statically-delivered queries, and stolen work charges the same
-  // in-flight budget. The legacy spawn path keeps the paper's
-  // strict one-at-a-time batch model (every in-flight query there spawns
-  // its own thread complement).
-  if (options_.batch_max_inflight > 0) {
-    node_options.max_inflight = options_.batch_max_inflight;
-  } else if (options_.use_executor) {
-    node_options.max_inflight =
-        std::max(1, options_.query_options.num_threads);
-  } else {
-    node_options.max_inflight = 1;
-  }
-  // Arm unsolicited heartbeats only when the liveness deadline is: silent
-  // compute must read as busy, and without a deadline pings are noise.
-  node_options.liveness_heartbeat_seconds =
-      options_.liveness_timeout_seconds > 0.0 ? 0.025 : 0.0;
-  node_options.seed = options_.seed;
+  // Admission depth: up to a pool's width of statically-delivered queries
+  // by default; stolen work charges the same in-flight budget.
+  const NodeBatchOptions node_options = MakeNodeOptions(
+      options_.scheduling,
+      options_.batch_max_inflight > 0
+          ? options_.batch_max_inflight
+          : std::max(1, options_.query_options.num_threads));
 
   Stopwatch batch_watch;
   double prepare_seconds = 0.0;
@@ -747,8 +625,6 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
 
   // Stage 4-5: serve dynamic requests, collect local answers, and wait for
   // every node to finish its work-stealing phase.
-  BatchReport report;
-  report.answers.resize(num_queries);
   std::vector<std::vector<Neighbor>> candidates(num_queries);
   // A duplicated kNodeTerminated (fault injection) must not double-count,
   // so terminations are a set, not a counter.
@@ -810,45 +686,11 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
     recovery.Poll(terminated);
   }
 
-  // Drain stragglers: a delayed kLocalAnswer can still sit in the held
-  // queue after the last kNodeTerminated. Sound because recovery answers
-  // are fenced by their node's kNodeDeadAck (same-thread FIFO) and ordinary
-  // answers by that node's kNodeTerminated, all of which Quiesced() has
-  // already seen; TryReceive force-flushes held messages.
-  {
-    Message m;
-    while (cluster.mailbox(cluster.coordinator_id()).TryReceive(&m)) {
-      if (m.type == MessageType::kLocalAnswer) {
-        std::vector<Neighbor>& bucket = candidates[m.query_id];
-        bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
-      }
-    }
-  }
-  report.status = recovery.status();
-  report.dead_nodes.assign(recovery.dead().begin(), recovery.dead().end());
-
-  // Merge the per-node partial answers into the final ones.
-  for (int q = 0; q < num_queries; ++q) {
-    report.answers[q] = MergeAnswers(candidates[q], options_.query_options.k);
-  }
-  report.query_seconds = batch_watch.ElapsedSeconds();
+  BatchReport report =
+      FinishBatch(&cluster, recovery.status(), recovery.dead(), batch_watch,
+                  std::move(candidates));
   report.prepare_seconds = prepare_seconds;
   report.scheduling_seconds = scheduling_seconds;
-
-  Message shutdown;
-  shutdown.type = MessageType::kShutdown;
-  shutdown.from = cluster.coordinator_id();
-  cluster.Broadcast(shutdown);
-  for (auto& node : nodes_) node->JoinBatch();
-
-  for (auto& node : nodes_) {
-    report.node_stats.push_back(node->batch_stats());
-    report.queries_in_flight_hwm = std::max(
-        report.queries_in_flight_hwm, node->batch_stats().inflight_hwm);
-  }
-  report.messages_sent = cluster.messages_sent();
-  report.bsf_updates = cluster.messages_sent(MessageType::kBsfUpdate);
-  report.steal_requests = cluster.messages_sent(MessageType::kStealRequest);
   return report;
 }
 
@@ -869,24 +711,12 @@ BatchReport OdysseyCluster::AnswerStream(
   CoordinatorRecovery recovery(layout_, &cluster,
                                options_.liveness_timeout_seconds);
 
-  NodeBatchOptions node_options;
   // Streaming always dispatches dynamically: a query cannot be assigned (or
-  // sorted by estimate) before it exists.
-  node_options.policy = SchedulingPolicy::kDynamic;
-  node_options.worksteal = options_.worksteal;
-  if (layout_.replication_degree() <= 1) node_options.worksteal.enabled = false;
-  node_options.query_options = options_.query_options;
-  node_options.threshold_model = options_.threshold_model;
-  node_options.share_bsf = options_.share_bsf;
-  node_options.use_executor = options_.use_executor;
-  // A node with idle workers runs several admitted queries concurrently,
-  // partitioning its pool, instead of strictly one at a time.
-  node_options.max_inflight = std::max(1, options_.stream_max_inflight);
-  // Arm unsolicited heartbeats only when the liveness deadline is: silent
-  // compute must read as busy, and without a deadline pings are noise.
-  node_options.liveness_heartbeat_seconds =
-      options_.liveness_timeout_seconds > 0.0 ? 0.025 : 0.0;
-  node_options.seed = options_.seed;
+  // sorted by estimate) before it exists. A node with idle workers runs
+  // several admitted queries concurrently, partitioning its pool, instead
+  // of strictly one at a time.
+  const NodeBatchOptions node_options = MakeNodeOptions(
+      SchedulingPolicy::kDynamic, std::max(1, options_.stream_max_inflight));
 
   // Online admission: slots are allocated up front, but each query is
   // summarized by the prep thread at its modeled arrival time — while the
@@ -948,8 +778,6 @@ BatchReport OdysseyCluster::AnswerStream(
   // Assignment fence — see AnswerBatch.
   std::vector<int> assigns_sent(static_cast<size_t>(layout_.num_nodes()), 0);
 
-  BatchReport report;
-  report.answers.resize(num_queries);
   std::vector<std::vector<Neighbor>> candidates(num_queries);
   std::set<int> terminated;
 
@@ -1042,34 +870,69 @@ BatchReport OdysseyCluster::AnswerStream(
   // prep thread has already run to completion.
   prep.Join();
 
-  // Drain held (delayed) stragglers; see AnswerBatch for the soundness
-  // argument.
-  {
-    Message m;
-    while (cluster.mailbox(cluster.coordinator_id()).TryReceive(&m)) {
-      if (m.type == MessageType::kLocalAnswer) {
-        std::vector<Neighbor>& bucket = candidates[m.query_id];
-        bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
-      }
-    }
-  }
-  report.status = recovery.status();
-  report.dead_nodes.assign(recovery.dead().begin(), recovery.dead().end());
-
-  for (int q = 0; q < num_queries; ++q) {
-    report.answers[q] = MergeAnswers(candidates[q], options_.query_options.k);
-  }
   // Preparation ran inside the answering window (that is the point); the
   // makespan is just the window.
-  report.query_seconds = batch_watch.ElapsedSeconds();
+  BatchReport report =
+      FinishBatch(&cluster, recovery.status(), recovery.dead(), batch_watch,
+                  std::move(candidates));
   report.prepare_seconds = prepare_seconds;
   report.prep_overlap_seconds = prep_overlap_seconds;
   executor_stats::AddPrepOverlapSeconds(prep_overlap_seconds);
+  return report;
+}
+
+NodeBatchOptions OdysseyCluster::MakeNodeOptions(SchedulingPolicy policy,
+                                                 int max_inflight) const {
+  NodeBatchOptions node_options;
+  node_options.policy = policy;
+  node_options.worksteal = options_.worksteal;
+  // Work-stealing requires a peer with identical data: disable when groups
+  // have a single member (EQUALLY-SPLIT), matching the paper's constraint.
+  if (layout_.replication_degree() <= 1) node_options.worksteal.enabled = false;
+  node_options.query_options = options_.query_options;
+  node_options.threshold_model = options_.threshold_model;
+  node_options.share_bsf = options_.share_bsf;
+  node_options.max_inflight = max_inflight;
+  // Arm unsolicited heartbeats only when the liveness deadline is: silent
+  // compute must read as busy, and without a deadline pings are noise.
+  node_options.liveness_heartbeat_seconds =
+      options_.liveness_timeout_seconds > 0.0 ? 0.025 : 0.0;
+  node_options.seed = options_.seed;
+  return node_options;
+}
+
+BatchReport OdysseyCluster::FinishBatch(
+    SimCluster* cluster, const Status& status,
+    const std::set<int>& dead_nodes, const Stopwatch& batch_watch,
+    std::vector<std::vector<Neighbor>> candidates) {
+  // Drain stragglers: a delayed kLocalAnswer can still sit in the held
+  // queue after the last kNodeTerminated. Sound because recovery answers
+  // are fenced by their node's kNodeDeadAck (same-thread FIFO) and ordinary
+  // answers by that node's kNodeTerminated, all of which the recovery
+  // quiescence check has already seen; TryReceive force-flushes held
+  // messages.
+  Message m;
+  while (cluster->mailbox(cluster->coordinator_id()).TryReceive(&m)) {
+    if (m.type == MessageType::kLocalAnswer) {
+      std::vector<Neighbor>& bucket = candidates[m.query_id];
+      bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
+    }
+  }
+  BatchReport report;
+  report.status = status;
+  report.dead_nodes.assign(dead_nodes.begin(), dead_nodes.end());
+
+  // Merge the per-node partial answers into the final ones.
+  report.answers.reserve(candidates.size());
+  for (const std::vector<Neighbor>& bucket : candidates) {
+    report.answers.push_back(MergeAnswers(bucket, options_.query_options.k));
+  }
+  report.query_seconds = batch_watch.ElapsedSeconds();
 
   Message shutdown;
   shutdown.type = MessageType::kShutdown;
-  shutdown.from = cluster.coordinator_id();
-  cluster.Broadcast(shutdown);
+  shutdown.from = cluster->coordinator_id();
+  cluster->Broadcast(shutdown);
   for (auto& node : nodes_) node->JoinBatch();
 
   for (auto& node : nodes_) {
@@ -1077,9 +940,9 @@ BatchReport OdysseyCluster::AnswerStream(
     report.queries_in_flight_hwm = std::max(
         report.queries_in_flight_hwm, node->batch_stats().inflight_hwm);
   }
-  report.messages_sent = cluster.messages_sent();
-  report.bsf_updates = cluster.messages_sent(MessageType::kBsfUpdate);
-  report.steal_requests = cluster.messages_sent(MessageType::kStealRequest);
+  report.messages_sent = cluster->messages_sent();
+  report.bsf_updates = cluster->messages_sent(MessageType::kBsfUpdate);
+  report.steal_requests = cluster->messages_sent(MessageType::kStealRequest);
   return report;
 }
 

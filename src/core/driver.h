@@ -10,10 +10,13 @@
 /// variant: bounded chunks are pulled (double-buffered, overlapping pulls
 /// with summarization), partitioned and summarized on arrival.
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/stopwatch.h"
 #include "src/core/cost_model.h"
 #include "src/core/node_runtime.h"
 #include "src/core/partitioning.h"
@@ -45,31 +48,15 @@ struct OdysseyOptions {
 
   /// Stage-2 index construction.
   IndexOptions index_options;
+  /// Build workers per replication group and per node (values below 1
+  /// mean 1).
   int build_threads_per_node = 4;
-  /// Build each replication group's chunk bundle (series + PAA + SAX +
-  /// summarization buffers, src/core/shared_chunk.h) exactly once and let
-  /// every replica index views of it — replication_degree() times less
-  /// transient build memory and summarization than the legacy path, with
-  /// bit-identical trees. Off = legacy path: every node materializes and
-  /// summarizes a private copy of its group's chunk (kept for the
-  /// shared-vs-copy benchmarks and equivalence tests).
-  bool share_chunks = true;
-  /// Streaming builds only: pull chunk i+1 off disk concurrently with
-  /// summarizing/partitioning chunk i (double-buffered ingest; observable
-  /// via overlap_seconds()). Requires share_chunks.
-  bool overlap_ingest = true;
 
   /// Stage-3/4 query answering.
   SchedulingPolicy scheduling = SchedulingPolicy::kPredictDynamic;
   WorkStealConfig worksteal;
   QueryOptions query_options;
   bool share_bsf = true;
-  /// Persistent per-node executor: query phases run as tasks on each
-  /// node's long-lived worker pool — zero thread creation on the query hot
-  /// path. Off = legacy mode: every query spawns and joins
-  /// `query_options.num_threads` std::threads (kept for the
-  /// pooled-vs-legacy benchmarks and equivalence tests).
-  bool use_executor = true;
   /// AnswerStream only: max queries one node runs concurrently on its pool
   /// (its in-flight admission depth). With > 1 a node whose workers are
   /// idle starts the next admitted query instead of strictly serializing.
@@ -78,11 +65,8 @@ struct OdysseyOptions {
   /// in-flight budget.
   int stream_max_inflight = 2;
   /// AnswerBatch: max queries one node runs concurrently on its pool. 0
-  /// means auto — up to query_options.num_threads on the executor path,
-  /// 1 on the legacy per-query-spawn path (the paper's strict
-  /// one-at-a-time batch model, where every in-flight query spawns its own
-  /// thread complement). Default: the ODYSSEY_BATCH_INFLIGHT environment
-  /// variable, else auto.
+  /// means auto — the pool width (query_options.num_threads). Default: the
+  /// ODYSSEY_BATCH_INFLIGHT environment variable, else auto.
   int batch_max_inflight = DefaultBatchMaxInflight();
   /// Optional models (owned by the caller, must outlive the cluster).
   const CostModel* cost_model = nullptr;
@@ -214,7 +198,7 @@ class OdysseyCluster {
   double ingest_seconds() const { return ingest_seconds_; }
   /// Of ingest_seconds(), the part that ran concurrently with
   /// summarization/partitioning (the double-buffered pipeline's win; 0
-  /// without overlap_ingest or for the in-memory constructor).
+  /// for the in-memory constructor).
   double overlap_seconds() const { return overlap_seconds_; }
   /// Paper's index-time measures: the maximum across nodes.
   double max_buffer_seconds() const;
@@ -232,36 +216,34 @@ class OdysseyCluster {
   const NodeRuntime& node(int i) const { return *nodes_[i]; }
 
  private:
-  /// Per-group raw data + global ids, accumulated by the streaming build
-  /// as chunks are partitioned on arrival. On the shared path the per-chunk
-  /// PAA/SAX rows (computed once per ingest chunk, before partitioning) are
-  /// scattered alongside, so the group bundles are adopted at build time
-  /// without ever re-summarizing.
-  struct GroupChunks {
-    std::vector<SeriesCollection> data;
-    std::vector<std::vector<uint32_t>> ids;
-    std::vector<std::vector<double>> paa;   // shared path only
-    std::vector<std::vector<uint8_t>> sax;  // shared path only
-    bool summarized = false;                // paa/sax are filled
-  };
+  /// Shared constructor prologue: validates the layout (aborting when
+  /// invalid), creates the coordinator pool and the (still empty) nodes.
+  explicit OdysseyCluster(const OdysseyOptions& options);
 
-  /// Streaming-build constructor body: every group's chunk is already
-  /// materialized; just load the nodes and build their indexes.
-  OdysseyCluster(GroupChunks groups, const OdysseyOptions& options,
-                 double partition_seconds, double ingest_seconds,
-                 double overlap_seconds);
-
-  /// Stage 2 of the streaming path. Shared: each group adopts one immutable
-  /// bundle from its accumulated tables and every member indexes views of
-  /// it. Legacy: every node loads its group's chunk and builds its index
-  /// concurrently (single-member groups move their chunk; replicas copy
-  /// it).
-  void BuildNodes(GroupChunks groups);
+  /// Stage 2: `make_bundle(g, pool)` produces group g's immutable chunk
+  /// bundle, once per group, on a thread bound to the group's NUMA node
+  /// with a build pool of its own; every member then indexes views of its
+  /// group's bundle (bit-identical trees, one copy of the data per group).
+  void BuildNodes(const std::function<std::shared_ptr<const SharedChunk>(
+                      int group, ThreadPool* pool)>& make_bundle);
 
   /// Builds the batch's PreparedQuery artifacts across a driver-side
   /// thread pool and reports the elapsed preparation time.
   PreparedBatch PrepareQueries(const SeriesCollection& queries,
                                double* prepare_seconds) const;
+
+  /// The per-node batch configuration both answering paths share.
+  NodeBatchOptions MakeNodeOptions(SchedulingPolicy policy,
+                                   int max_inflight) const;
+
+  /// Shared answering tail: drains straggling answers, merges every
+  /// query's candidates, stamps `status`, `dead_nodes` and query_seconds
+  /// (read before shutdown), then shuts the epoch down, joins the nodes
+  /// and collects their stats and the transport's message counts.
+  BatchReport FinishBatch(SimCluster* cluster, const Status& status,
+                          const std::set<int>& dead_nodes,
+                          const Stopwatch& batch_watch,
+                          std::vector<std::vector<Neighbor>> candidates);
 
   /// Per-group query-time estimates for prediction-based policies: initial
   /// BSF via approximate search on the group's data, mapped through the

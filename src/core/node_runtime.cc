@@ -33,18 +33,6 @@ NodeRuntime::~NodeRuntime() {
   if (main_thread_.joinable()) main_thread_.Join();
 }
 
-void NodeRuntime::LoadChunk(SeriesCollection chunk,
-                            std::vector<uint32_t> global_ids) {
-  ODYSSEY_CHECK(chunk.size() == global_ids.size());
-  ODYSSEY_CHECK_MSG(!chunk.empty(), "node received an empty chunk");
-  global_ids_ =
-      std::make_shared<const std::vector<uint32_t>>(std::move(global_ids));
-  // The chunk is stashed inside the index at BuildIndex time; keep it here
-  // until then.
-  pending_chunk_ = std::make_unique<SeriesCollection>(std::move(chunk));
-  pending_shared_.reset();
-}
-
 void NodeRuntime::LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk) {
   ODYSSEY_CHECK(chunk != nullptr);
   ODYSSEY_CHECK_MSG(!chunk->data().empty(), "node received an empty chunk");
@@ -54,23 +42,15 @@ void NodeRuntime::LoadSharedChunk(std::shared_ptr<const SharedChunk> chunk) {
   global_ids_ = std::shared_ptr<const std::vector<uint32_t>>(
       chunk, &chunk->global_ids());
   pending_shared_ = std::move(chunk);
-  pending_chunk_.reset();
 }
 
 BuildTimings NodeRuntime::BuildIndex(const IndexOptions& options,
                                      int build_threads) {
-  ODYSSEY_CHECK_MSG(pending_chunk_ != nullptr || pending_shared_ != nullptr,
-                    "LoadChunk/LoadSharedChunk before BuildIndex");
+  ODYSSEY_CHECK_MSG(pending_shared_ != nullptr,
+                    "LoadSharedChunk before BuildIndex");
   ThreadPool pool(static_cast<size_t>(std::max(1, build_threads)));
-  if (pending_shared_ != nullptr) {
-    index_ = std::make_unique<Index>(Index::BuildFromShared(
-        std::move(pending_shared_), options, &pool, &build_timings_));
-  } else {
-    index_ = std::make_unique<Index>(Index::Build(
-        std::move(*pending_chunk_), options, &pool, &build_timings_));
-  }
-  pending_chunk_.reset();
-  pending_shared_.reset();
+  index_ = std::make_unique<Index>(Index::BuildFromShared(
+      std::move(pending_shared_), options, &pool, &build_timings_));
   return build_timings_;
 }
 
@@ -101,20 +81,18 @@ bool NodeRuntime::AllAssignmentsInLocked() const {
 }
 
 void NodeRuntime::EnsureExecutor() {
-  if (options_.use_executor) {
-    const size_t want =
-        static_cast<size_t>(std::max(1, options_.query_options.num_threads));
-    // The pool grows to the widest batch seen and never shrinks; growth
-    // spawns only the missing workers, so a wider batch pays exactly the
-    // delta and an equal-or-narrower one pays nothing.
-    if (workers_ == nullptr) {
-      workers_ = std::make_unique<ThreadPool>(want);
-    } else {
-      workers_->Grow(want);
-    }
-    PinExecutorWorkers();
-    WarmExecutorScratch();
+  const size_t want =
+      static_cast<size_t>(std::max(1, options_.query_options.num_threads));
+  // The pool grows to the widest batch seen and never shrinks; growth
+  // spawns only the missing workers, so a wider batch pays exactly the
+  // delta and an equal-or-narrower one pays nothing.
+  if (workers_ == nullptr) {
+    workers_ = std::make_unique<ThreadPool>(want);
+  } else {
+    workers_->Grow(want);
   }
+  PinExecutorWorkers();
+  WarmExecutorScratch();
   if (!comms_thread_.joinable()) {
     comms_thread_ = CountedThread([this] { EpochThread(/*comms=*/true); });
     main_thread_ = CountedThread([this] { EpochThread(/*comms=*/false); });
@@ -417,7 +395,7 @@ void NodeRuntime::ExecuteRecoveryQuery(int query_id) {
     exec.set_queue_threshold(
         options_.threshold_model->PredictThreshold(initial_bsf));
   }
-  exec.Run(options_.use_executor ? workers_.get() : nullptr);
+  exec.Run(workers_.get());
   SendLocalAnswer(query_id, exec.results().SortedResults(),
                   /*recovery=*/true);
   {
@@ -503,8 +481,7 @@ void NodeRuntime::MainLoop() {
   // batch model, or up to max_inflight concurrently on the pool when the
   // streaming path admits queries faster than they finish...
   const int max_inflight = std::max(1, options_.max_inflight);
-  const bool concurrent =
-      max_inflight > 1 && options_.use_executor && workers_ != nullptr;
+  const bool concurrent = max_inflight > 1;
   std::unique_ptr<TaskGroup> inflight_group;
   if (concurrent) inflight_group = std::make_unique<TaskGroup>(workers_.get());
   for (;;) {
@@ -594,7 +571,7 @@ void NodeRuntime::ExecuteQuery(int query_id) {
     MutexLock lock(&exec_mu_);
     running_execs_.push_back({query_id, &exec});
   }
-  exec.Run(options_.use_executor ? workers_.get() : nullptr);
+  exec.Run(workers_.get());
   {
     MutexLock lock(&exec_mu_);
     for (auto it = running_execs_.begin(); it != running_execs_.end(); ++it) {
@@ -833,8 +810,7 @@ void NodeRuntime::RunStolenWork(const Message& reply) {
     exec.set_queue_threshold(
         options_.threshold_model->PredictThreshold(initial_bsf));
   }
-  exec.RunBatchSubset(reply.batch_ids,
-                      options_.use_executor ? workers_.get() : nullptr);
+  exec.RunBatchSubset(reply.batch_ids, workers_.get());
   {
     MutexLock lock(&stats_mu_);
     batch_stats_.batches_stolen_run +=

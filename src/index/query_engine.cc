@@ -1,7 +1,6 @@
 #include "src/index/query_engine.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -289,44 +288,26 @@ void QueryExecution::RunWorkers(const std::vector<int>& batch_ids,
     phase_.store(static_cast<int>(Phase::kDone), std::memory_order_release);
     return;
   }
+  ODYSSEY_CHECK_MSG(pool != nullptr || options_.num_threads <= 1,
+                    "num_threads > 1 needs a ThreadPool");
   Stopwatch watch;
   ArmBatches(batch_ids);
-  const int num_threads = options_.num_threads;
-
   if (pool != nullptr) {
-    // Executor path: each parallel phase is one TaskGroup epoch on the
-    // shared pool; the Wait inside RunTasks is the phase barrier and the
-    // calling thread helps run the phase tasks while it waits. No thread is
-    // created, and several executions can share one pool concurrently (the
-    // claim loops are self-contained: any number of workers, in any
-    // interleaving, drain the same atomic cursors).
+    // Each parallel phase is one TaskGroup epoch on the shared pool; the
+    // Wait inside RunTasks is the phase barrier and the calling thread
+    // helps run the phase tasks while it waits. No thread is created, and
+    // several executions can share one pool concurrently (the claim loops
+    // are self-contained: any number of workers, in any interleaving,
+    // drain the same atomic cursors).
     TaskGroup group(pool);
-    group.RunTasks(num_threads, [this](int) { TraversalPhase(); });
+    group.RunTasks(options_.num_threads, [this](int) { TraversalPhase(); });
     PreprocessQueues();
-    group.RunTasks(num_threads, [this](int) { ProcessingPhase(); });
-  } else if (num_threads == 1) {
+    group.RunTasks(options_.num_threads, [this](int) { ProcessingPhase(); });
+  } else {
+    // No pool: the calling thread drains every claim loop alone.
     TraversalPhase();
     PreprocessQueues();
     ProcessingPhase();
-  } else {
-    // Legacy path: spawn-and-join per call, with in-thread barriers between
-    // the phases — the per-query-spawn baseline the executor benchmarks
-    // against. CountedThread counts the spawns so tests can assert the hot
-    // path stays at zero.
-    std::barrier barrier(num_threads);
-    auto worker = [&](int tid) {
-      TraversalPhase();
-      barrier.arrive_and_wait();
-      if (tid == 0) PreprocessQueues();
-      barrier.arrive_and_wait();
-      ProcessingPhase();
-    };
-    std::vector<CountedThread> threads;
-    threads.reserve(num_threads);
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&worker, t] { worker(t); });
-    }
-    for (auto& t : threads) t.Join();
   }
 
   {

@@ -153,6 +153,8 @@ class KnnSet {
 /// `num_batches` must be identical on every node of a replication group
 /// (batch ids are exchanged between nodes).
 struct QueryOptions {
+  /// Tasks per parallel phase on the ThreadPool passed to Run*. Values > 1
+  /// need a pool: Run* without one accepts only num_threads <= 1.
   int num_threads = 4;
   /// Number of RS-batches (Nsb). 0 means num_threads, the paper's best
   /// setting.
@@ -241,14 +243,14 @@ class QueryExecution {
   }
 
   /// Runs the full three-phase search over all RS-batches. With a `pool`,
-  /// the phases run as tasks on it — zero thread creation, the persistent
-  /// per-node executor path; each of the two parallel phases is one
-  /// TaskGroup epoch and the Wait between them is the phase barrier
-  /// (executed, helping, by the calling thread). Without one, the legacy
-  /// path spawns `options.num_threads` std::threads per call (kept for the
-  /// pooled-vs-legacy benchmarks; the spawns are counted in
-  /// executor_stats::ThreadsSpawned). Both paths claim work through the
-  /// same atomic cursors and produce identical answers.
+  /// the phases run as `options.num_threads` tasks on it — zero thread
+  /// creation, the persistent per-node executor path; each of the two
+  /// parallel phases is one TaskGroup epoch and the Wait between them is
+  /// the phase barrier (executed, helping, by the calling thread). Without
+  /// one, every phase runs on the calling thread, which requires
+  /// `options.num_threads <= 1` (checked; approximate mode is exempt). Both
+  /// claim work through the same atomic cursors and produce identical
+  /// answers.
   void Run(ThreadPool* pool = nullptr);
 
   /// Thief-side entry: traverses and processes only the given batch ids
@@ -368,11 +370,10 @@ class QueryExecution {
 /// Per-thread reusable buffers for the query phases — the fix for the
 /// hot-path purity contract (src/common/hotpath.h): the phase bodies used
 /// to allocate their snapshot vectors on every entry, per worker, per
-/// epoch. Each pool worker (and the legacy spawned threads, and the
-/// orchestrating caller) owns one QueryScratch via ForThisThread(); the
-/// buffers are grow-only and reused across TaskGroup epochs, queries and
-/// batches, so the steady state performs zero allocations (asserted by the
-/// counting-allocator tests). The persistent executor pre-sizes every
+/// epoch. Each pool worker (and the orchestrating caller) owns one
+/// QueryScratch via ForThisThread(); the buffers are grow-only and reused
+/// across TaskGroup epochs, queries and batches, so the steady state
+/// performs zero allocations (asserted by the counting-allocator tests). The persistent executor pre-sizes every
 /// worker's scratch at batch start (NodeRuntime::EnsureExecutor), so even
 /// a worker's first query of a batch starts warm.
 ///

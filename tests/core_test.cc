@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "src/common/summary_stats.h"
 #include "src/core/cost_model.h"
 #include "src/core/partitioning.h"
 #include "src/core/replication.h"
@@ -415,6 +416,25 @@ TEST(CostModelTest, CalibrationSamplesCorrelateWithDifficulty) {
   }
   CostModel model;
   EXPECT_TRUE(model.Fit(bsf, secs).ok());
+}
+
+TEST(CostModelTest, CalibrationTimesOnePersistentPool) {
+  // Calibration must time the execution path the cluster runs — query
+  // phases as tasks on a persistent pool — so one call spawns exactly one
+  // pool's worth of threads, not num_threads per sampled query.
+  const SeriesCollection data = GenerateSeismicLike(1000, 64, 15);
+  IndexOptions index_options;
+  index_options.config = IsaxConfig(64, 8);
+  index_options.leaf_capacity = 32;
+  const Index index = Index::Build(SeriesCollection(data), index_options);
+  const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 17);
+  QueryOptions qo;
+  qo.num_threads = 2;
+  const uint64_t before = executor_stats::ThreadsSpawned();
+  const auto samples = CollectCalibrationSamples(index, queries, qo);
+  EXPECT_EQ(executor_stats::ThreadsSpawned() - before, 2u);
+  ASSERT_EQ(samples.size(), 8u);
+  for (const auto& s : samples) EXPECT_GT(s.exec_seconds, 0.0);
 }
 
 // -------------------------------------------------------------- Worksteal

@@ -138,17 +138,18 @@ TEST_P(SharedSummaryEquivalenceTest, BatchSharedArtifactIsBitIdentical) {
 
   // The batch-shared artifacts, built once for all queries...
   const PreparedBatch batch = PrepareBatch(queries, index.config(), qo);
+  ThreadPool pool(2);
   for (size_t q = 0; q < queries.size(); ++q) {
     QueryExecution shared_exec(&index, batch.query(q), qo);
     shared_exec.SeedInitialBsf();
-    shared_exec.Run();
+    shared_exec.Run(&pool);
     // ... against a per-execution summarization, as the pre-refactor code
     // performed inside every Initialize().
     const PreparedQuery fresh =
         PrepareQuery(queries.data(q), index.config(), qo);
     QueryExecution fresh_exec(&index, fresh, qo);
     fresh_exec.SeedInitialBsf();
-    fresh_exec.Run();
+    fresh_exec.Run(&pool);
 
     const auto got = shared_exec.results().SortedResults();
     const auto want = fresh_exec.results().SortedResults();
@@ -182,6 +183,7 @@ TEST(SharedSummaryEquivalenceTest, StolenWorkReusesVictimArtifact) {
   QueryOptions qo;
   qo.num_threads = 2;
   qo.num_batches = 8;
+  ThreadPool pool(2);
 
   auto run_split = [&](const PreparedQuery& for_victim,
                        const PreparedQuery& for_thief) {
@@ -193,8 +195,8 @@ TEST(SharedSummaryEquivalenceTest, StolenWorkReusesVictimArtifact) {
     for (int b = 0; b < 8; ++b) {
       (b % 2 == 0 ? victim_ids : thief_ids).push_back(b);
     }
-    victim.RunBatchSubset(victim_ids);
-    thief.RunBatchSubset(thief_ids);
+    victim.RunBatchSubset(victim_ids, &pool);
+    thief.RunBatchSubset(thief_ids, &pool);
     std::vector<Neighbor> merged;
     for (const auto& n : victim.results().SortedResults()) merged.push_back(n);
     for (const auto& n : thief.results().SortedResults()) merged.push_back(n);

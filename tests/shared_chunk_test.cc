@@ -1,10 +1,11 @@
 // The build-path sharing contract (mirror of query_test's query-time
 // contract): one immutable {series, PAA, SAX, buffers} bundle per
-// replication group per chunk — never per node — with replica trees
-// bit-identical to the legacy private-copy path, across FULL / PARTIAL-k /
-// EQUALLY-SPLIT, for both the in-memory and the streaming (double-buffered
-// overlap) build.
+// replication group per chunk — never per node — with every replica's tree
+// bit-identical to a private Index::Build over that node's own chunk,
+// across FULL / PARTIAL-k / EQUALLY-SPLIT, for both the in-memory and the
+// streaming (double-buffered overlap) build.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -33,14 +34,13 @@ IndexOptions TestIndexOptions(size_t length = 64) {
   return options;
 }
 
-OdysseyOptions ClusterOptions(int nodes, int groups, bool share) {
+OdysseyOptions ClusterOptions(int nodes, int groups) {
   OdysseyOptions options;
   options.num_nodes = nodes;
   options.num_groups = groups;
   options.index_options = TestIndexOptions();
   options.build_threads_per_node = 2;
   options.query_options.num_threads = 2;
-  options.share_chunks = share;
   return options;
 }
 
@@ -128,8 +128,7 @@ TEST(BuildStatsTest, SharedBuildSummarizesOncePerGroupNotPerNode) {
   for (const auto& layout : kLayouts) {
     summary_stats::Reset();
     build_stats::Reset();
-    OdysseyCluster cluster(data,
-                           ClusterOptions(layout.nodes, layout.groups, true));
+    OdysseyCluster cluster(data, ClusterOptions(layout.nodes, layout.groups));
     // Exactly one bundle per group, each series summarized exactly once in
     // the whole cluster — independent of the replication degree.
     EXPECT_EQ(build_stats::ChunksBuilt(),
@@ -145,51 +144,58 @@ TEST(BuildStatsTest, SharedBuildSummarizesOncePerGroupNotPerNode) {
   }
 }
 
-TEST(BuildStatsTest, LegacyCopyPathPaysPerNode) {
-  const SeriesCollection data = GenerateRandomWalk(480, 64, 22);
-  summary_stats::Reset();
-  build_stats::Reset();
-  OdysseyCluster cluster(data, ClusterOptions(4, 1, false));  // FULL, legacy
-  // Every node materializes and summarizes its private bundle.
-  EXPECT_EQ(build_stats::ChunksBuilt(), 4u);
-  EXPECT_EQ(build_stats::SummariesBuilt(), 4 * data.size());
-  EXPECT_EQ(summary_stats::SaxCalls(), 4 * data.size());
-}
-
 TEST(BuildStatsTest, SharedFullReplicationStoresOneBundle) {
   const SeriesCollection data = GenerateRandomWalk(300, 64, 23);
   build_stats::Reset();
-  OdysseyCluster shared(data, ClusterOptions(4, 1, true));
-  const uint64_t shared_bytes = build_stats::ChunkBytes();
-  build_stats::Reset();
-  OdysseyCluster legacy(data, ClusterOptions(4, 1, false));
-  const uint64_t legacy_bytes = build_stats::ChunkBytes();
-  // FULL over 4 nodes: the legacy path materializes ~4x the bundle bytes.
-  EXPECT_GE(legacy_bytes, 3 * shared_bytes);
-  // The *reported* per-node footprint is unchanged (a real deployment
-  // stores the chunk on every node): Figure-14 accounting must not shrink
-  // just because the simulation shares the bytes.
-  EXPECT_EQ(shared.total_data_bytes(), legacy.total_data_bytes());
-  EXPECT_EQ(shared.total_index_bytes(), legacy.total_index_bytes());
+  OdysseyCluster shared(data, ClusterOptions(4, 1));
+  // FULL over 4 nodes: the build materializes exactly one bundle, which
+  // every replica references.
+  EXPECT_EQ(build_stats::ChunksBuilt(), 1u);
+  EXPECT_EQ(build_stats::ChunkBytes(),
+            shared.node(0).index().chunk()->MemoryBytes());
+  // The *reported* per-node footprint is that of a private copy per node
+  // (a real deployment stores the chunk on every node): Figure-14
+  // accounting must not shrink just because the simulation shares the
+  // bytes.
+  const Index private_index =
+      Index::Build(SeriesCollection(shared.node(0).index().data()),
+                   TestIndexOptions());
+  EXPECT_EQ(shared.total_data_bytes(), 4 * private_index.DataMemoryBytes());
+  EXPECT_EQ(shared.total_index_bytes(), 4 * private_index.IndexMemoryBytes());
 }
 
-// --------------------------------------------- shared vs legacy bit-identity
+// ------------------------------------ replicas vs a private build bit-identity
 
-TEST(SharedVsLegacyTest, TreesBitIdenticalAcrossReplicationModes) {
+// Every node's chunk is exactly its global ids' rows of `data`, and its SAX
+// table and tree are bit-identical to a private build over that chunk.
+void ExpectNodesMatchPrivateBuilds(const OdysseyCluster& cluster,
+                                   const SeriesCollection& data) {
+  for (int n = 0; n < cluster.num_nodes(); ++n) {
+    const Index& index = cluster.node(n).index();
+    ASSERT_EQ(cluster.node(n).chunk_size(), index.data().size());
+    const std::vector<uint32_t>& ids = index.chunk()->global_ids();
+    ASSERT_EQ(ids.size(), index.data().size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(std::equal(index.data().data(i),
+                             index.data().data(i) + data.length(),
+                             data.data(ids[i])))
+          << "node " << n << " local " << i;
+    }
+    const Index reference =
+        Index::Build(SeriesCollection(index.data()), TestIndexOptions());
+    EXPECT_EQ(index.sax_table(), reference.sax_table())
+        << "node " << n << " of " << cluster.layout().ToString();
+    EXPECT_TRUE(testing_utils::TreesIdentical(index.tree(), reference.tree()))
+        << "node " << n << " of " << cluster.layout().ToString();
+  }
+}
+
+TEST(ReplicaBitIdentityTest, TreesMatchPrivateBuildOfOwnChunk) {
   const SeriesCollection data = GenerateSeismicLike(600, 64, 31);
   for (const auto& [nodes, groups] :
        std::vector<std::pair<int, int>>{{4, 1}, {4, 2}, {4, 4}}) {
-    OdysseyCluster shared(data, ClusterOptions(nodes, groups, true));
-    OdysseyCluster legacy(data, ClusterOptions(nodes, groups, false));
-    for (int n = 0; n < nodes; ++n) {
-      ASSERT_EQ(shared.node(n).chunk_size(), legacy.node(n).chunk_size());
-      EXPECT_EQ(shared.node(n).index().sax_table(),
-                legacy.node(n).index().sax_table())
-          << "node " << n << " of " << shared.layout().ToString();
-      EXPECT_TRUE(testing_utils::TreesIdentical(shared.node(n).index().tree(),
-                                                legacy.node(n).index().tree()))
-          << "node " << n << " of " << shared.layout().ToString();
-    }
+    OdysseyCluster shared(data, ClusterOptions(nodes, groups));
+    ExpectNodesMatchPrivateBuilds(shared, data);
     // Replicas of one group share one bundle (pointer-equal), across groups
     // they do not.
     if (groups < nodes) {
@@ -200,16 +206,17 @@ TEST(SharedVsLegacyTest, TreesBitIdenticalAcrossReplicationModes) {
       EXPECT_NE(shared.node(0).index().chunk().get(),
                 shared.node(1).index().chunk().get());
     }
-    // And the answers agree bit for bit.
+    // And the answers are exact.
     const SeriesCollection queries = GenerateUniformQueries(data, 6, 0.4, 33);
-    const BatchReport a = shared.AnswerBatch(queries);
-    const BatchReport b = legacy.AnswerBatch(queries);
-    for (size_t q = 0; q < a.answers.size(); ++q) {
-      ASSERT_EQ(a.answers[q].size(), b.answers[q].size());
-      for (size_t k = 0; k < a.answers[q].size(); ++k) {
-        EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id);
-        EXPECT_EQ(a.answers[q][k].squared_distance,
-                  b.answers[q][k].squared_distance);
+    const BatchReport report = shared.AnswerBatch(queries);
+    ASSERT_EQ(report.answers.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const auto want = testing_utils::BruteForceKnn(data, queries.data(q), 1);
+      ASSERT_EQ(report.answers[q].size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(report.answers[q][k].id, want[k].id);
+        EXPECT_TRUE(testing_utils::NearlyEqual(
+            report.answers[q][k].squared_distance, want[k].squared_distance));
       }
     }
   }
@@ -246,7 +253,7 @@ class StreamingSharedTest : public ::testing::Test {
 };
 
 TEST_F(StreamingSharedTest, SummarizesEachSeriesOnceAcrossChunks) {
-  OdysseyOptions options = ClusterOptions(4, 2, true);
+  OdysseyOptions options = ClusterOptions(4, 2);
   summary_stats::Reset();
   build_stats::Reset();
   auto cluster = Stream(options);
@@ -261,7 +268,7 @@ TEST_F(StreamingSharedTest, SummarizesEachSeriesOnceAcrossChunks) {
 }
 
 TEST_F(StreamingSharedTest, DensityAwarePartitioningReusesIngestSummaries) {
-  OdysseyOptions options = ClusterOptions(4, 2, true);
+  OdysseyOptions options = ClusterOptions(4, 2);
   options.partitioning = PartitioningScheme::kDensityAware;
   summary_stats::Reset();
   auto cluster = Stream(options);
@@ -271,46 +278,60 @@ TEST_F(StreamingSharedTest, DensityAwarePartitioningReusesIngestSummaries) {
   EXPECT_EQ(summary_stats::SaxCalls(), 600u);
 }
 
-TEST_F(StreamingSharedTest, OverlapOnOffAndLegacyAllAnswerIdentically) {
-  std::vector<std::unique_ptr<OdysseyCluster>> clusters;
-  for (const auto& [share, overlap] :
-       std::vector<std::pair<bool, bool>>{{true, true},
-                                          {true, false},
-                                          {false, false}}) {
-    OdysseyOptions options = ClusterOptions(4, 2, share);
-    options.overlap_ingest = overlap;
-    auto cluster = Stream(options);
-    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-    clusters.push_back(std::move(*cluster));
-  }
-  EXPECT_GT(clusters[0]->ingest_seconds(), 0.0);
-  EXPECT_LE(clusters[0]->overlap_seconds(),
-            clusters[0]->ingest_seconds() + 1e-9);
-  EXPECT_EQ(clusters[1]->overlap_seconds(), 0.0);
-  EXPECT_EQ(clusters[2]->overlap_seconds(), 0.0);
-
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_TRUE(testing_utils::TreesIdentical(
-        clusters[0]->node(n).index().tree(),
-        clusters[1]->node(n).index().tree()));
-    EXPECT_TRUE(testing_utils::TreesIdentical(
-        clusters[0]->node(n).index().tree(),
-        clusters[2]->node(n).index().tree()));
-  }
-
-  const SeriesCollection data = clusters[0]->node(0).index().data();
-  const SeriesCollection queries = GenerateUniformQueries(data, 6, 0.4, 43);
-  const BatchReport a = clusters[0]->AnswerBatch(queries);
-  const BatchReport b = clusters[1]->AnswerBatch(queries);
-  const BatchReport c = clusters[2]->AnswerBatch(queries);
+// Both clusters' answers must be the same ids at the same distances.
+void ExpectSameAnswers(const BatchReport& a, const BatchReport& b) {
+  ASSERT_EQ(a.answers.size(), b.answers.size());
   for (size_t q = 0; q < a.answers.size(); ++q) {
-    ASSERT_EQ(a.answers[q].size(), b.answers[q].size());
-    ASSERT_EQ(a.answers[q].size(), c.answers[q].size());
+    ASSERT_EQ(a.answers[q].size(), b.answers[q].size()) << "query " << q;
     for (size_t k = 0; k < a.answers[q].size(); ++k) {
-      EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id);
-      EXPECT_EQ(a.answers[q][k].id, c.answers[q][k].id);
+      EXPECT_EQ(a.answers[q][k].id, b.answers[q][k].id)
+          << "query " << q << " rank " << k;
+      EXPECT_EQ(a.answers[q][k].squared_distance,
+                b.answers[q][k].squared_distance)
+          << "query " << q << " rank " << k;
     }
   }
+}
+
+TEST_F(StreamingSharedTest, StreamedReplicasMatchPrivateBuildOfOwnChunk) {
+  auto streamed = Stream(ClusterOptions(4, 2));
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_GT((*streamed)->ingest_seconds(), 0.0);
+  EXPECT_LE((*streamed)->overlap_seconds(),
+            (*streamed)->ingest_seconds() + 1e-9);
+
+  // The same archive ingested whole (same z-normalization): global ids are
+  // archive positions, so each node's streamed chunk, with the PAA/SAX rows
+  // computed per ingest chunk and scattered into its group's bundle, must
+  // build exactly what a private build over that chunk does.
+  IngestOptions ingest;
+  ingest.length = 64;
+  StatusOr<SeriesCollection> data = IngestFile(path_, ingest);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ExpectNodesMatchPrivateBuilds(**streamed, *data);
+}
+
+TEST_F(StreamingSharedTest, NegativeBuildThreadsMeansOne) {
+  const OdysseyOptions defaults = ClusterOptions(4, 2);
+  OdysseyOptions negative = defaults;
+  negative.build_threads_per_node = -1;
+  auto reference = Stream(defaults);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto clamped = Stream(negative);
+  ASSERT_TRUE(clamped.ok()) << clamped.status().ToString();
+  for (int n = 0; n < 4; ++n) {
+    EXPECT_TRUE(testing_utils::TreesIdentical(
+        (*reference)->node(n).index().tree(),
+        (*clamped)->node(n).index().tree()))
+        << "node " << n;
+  }
+  IngestOptions ingest;
+  ingest.length = 64;
+  StatusOr<SeriesCollection> data = IngestFile(path_, ingest);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const SeriesCollection queries = GenerateUniformQueries(*data, 6, 0.4, 45);
+  ExpectSameAnswers((*reference)->AnswerBatch(queries),
+                    (*clamped)->AnswerBatch(queries));
 }
 
 // ------------------------------------------------------- ChunkPrefetcher

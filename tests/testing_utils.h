@@ -17,7 +17,7 @@ namespace testing_utils {
 /// Deep structural equality of two index subtrees: same words, same split
 /// segments, same leaf payloads (ids and SAX rows) in the same order. This
 /// is the replica bit-identity Odyssey's data-free work-stealing relies on,
-/// and what "shared-chunk builds equal legacy copy builds" means.
+/// and what "a replica's tree equals a private build of its chunk" means.
 inline bool NodesIdentical(const TreeNode* a, const TreeNode* b) {
   if (a->word().symbols != b->word().symbols ||
       a->word().bits != b->word().bits ||
