@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -136,27 +137,46 @@ void BM_Paa256(benchmark::State& state) {
 }
 BENCHMARK(BM_Paa256)->Apply(ApplyIsaArgs)->Unit(benchmark::kMicrosecond);
 
-void BM_DtwRow256(benchmark::State& state) {
-  // The DP row kernel in isolation: one full-band row per inner call.
+void BM_Dtw256(benchmark::State& state) {
+  // The whole banded DTW DP at 5% warping, per ISA. Arg 1 = 0 runs every DP
+  // in full; 1 early-abandons at a realistic threshold (the query's DTW to
+  // one pool series), so roughly half the candidates abandon part-way, as
+  // in a leaf scan whose candidates mostly survive LB_Keogh.
   const simd::KernelTable* table = TableForArg(state.range(0));
   const std::vector<float>& pool = Pool();
-  std::vector<float> prev(kLength, 1.0f), cur(kLength, 0.0f);
+  const float* query = pool.data();
+  const size_t window = WarpingWindowFromFraction(kLength, 0.05);
+  std::vector<float> scratch(simd::DtwScratchFloats(kLength));
+  float threshold = std::numeric_limits<float>::infinity();
+  if (state.range(1) != 0) {
+    threshold = table->dtw(query, pool.data() + kLength, kLength, window,
+                           threshold, scratch.data());
+  }
   float checksum = 0.0f;
   for (auto _ : state) {
-    for (size_t i = 1; i < 512; ++i) {
-      checksum += table->dtw_row(pool[i], pool.data() + i * kLength,
-                                 prev.data(), cur.data(), 0, kLength - 1);
+    for (size_t i = 1; i < 64; ++i) {
+      checksum += table->dtw(query, pool.data() + i * kLength, kLength,
+                             window, threshold, scratch.data());
     }
   }
   benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() * 511);
+  state.SetItemsProcessed(state.iterations() * 63);
   state.SetLabel(simd::IsaName(table->isa));
 }
-BENCHMARK(BM_DtwRow256)->Apply(ApplyIsaArgs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Dtw256)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int abandon : {0, 1}) {
+        b->Args({0, abandon});
+        if (simd::SseTable() != nullptr) b->Args({1, abandon});
+        if (simd::Avx2Table() != nullptr) b->Args({2, abandon});
+        if (simd::Avx512Table() != nullptr) b->Args({3, abandon});
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SquaredDtw256(benchmark::State& state) {
-  // End-to-end banded DTW through the public API (dispatched kernels);
-  // ODYSSEY_SIMD=scalar selects the scalar row kernel for comparison.
+  // End-to-end banded DTW through the public API (dispatched kernel and
+  // thread-local scratch); ODYSSEY_SIMD=scalar selects the scalar kernel.
   const std::vector<float>& pool = Pool();
   const size_t window = WarpingWindowFromFraction(kLength, 0.05);
   float checksum = 0.0f;

@@ -227,7 +227,7 @@ class NodeRuntime {
     size_t width = 0;    ///< pool workers warmed
     size_t batches = 0;  ///< RS-batch lanes reserved
     size_t queues = 0;   ///< priority-queue ref lanes reserved
-    size_t length = 0;   ///< series length the DTW rows are sized for
+    size_t length = 0;   ///< series length the DTW scratch is sized for
   };
   ScratchBounds warmed_scratch_;
   /// Pool width already NUMA-pinned (grow-only, like warmed_scratch_):

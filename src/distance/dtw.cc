@@ -11,97 +11,37 @@
 namespace odyssey {
 namespace {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// The two rolling DP rows, owned per thread and reused across calls. The
-/// DP used to construct two n-float vectors on every distance call — two
-/// heap allocations per scanned candidate in DTW mode, squarely inside the
-/// hot-path purity contract's scoring loops.
+/// The dtw kernel's scratch, owned per thread and grown to the longest
+/// series seen: allocating it per call would put a heap allocation behind
+/// every scanned candidate in DTW mode, squarely inside the hot-path purity
+/// contract's scoring loops.
 struct DtwScratch {
-  std::vector<float> prev;
-  std::vector<float> cur;
+  std::vector<float> floats;
 };
 
-DtwScratch& ScratchForThisThread() {
+float* ScratchForThisThread(size_t n) {
   static thread_local DtwScratch scratch;
-  return scratch;
-}
-
-// Shared band DP. When `threshold` is finite, abandons as soon as a full row
-// exceeds it (every warping path must pass through each row's band, so the
-// row minimum lower-bounds the final value). Row 0 is a plain prefix sum;
-// every later row goes through the dispatched dtw_row kernel, which stages
-// the point costs and the prev-row mins with SIMD.
-ODYSSEY_HOT float BandDtw(const float* a, const float* b, size_t n,
-                          size_t window, float threshold)
-    ODYSSEY_HOT_ALLOWS(
-        "alloc: the DP-row assigns below are grow-only thread-local scratch "
-        "— allocation-free at steady state (counting-allocator-asserted)") {
-  if (n == 0) return 0.0f;
-  window = std::min(window, n - 1);
-  const simd::KernelTable& kernels = simd::ActiveTable();
-
-  // Two rolling DP rows over the full length; cells outside the band stay
-  // +inf. For the window sizes the paper uses (<= 15% of n) the wasted cells
-  // are cheap and the code stays simple. The rows live in thread-local
-  // scratch: the assigns refill them with +inf (same O(n) init the old
-  // per-call vectors paid) but reuse the capacity across calls.
-  DtwScratch& scratch = ScratchForThisThread();
-  scratch.prev.assign(n, kInf);
-  scratch.cur.assign(n, kInf);
-  std::vector<float>& prev = scratch.prev;
-  std::vector<float>& cur = scratch.cur;
-
-  // Row 0: the only predecessor of (0, j) is (0, j-1), so the row is the
-  // running prefix sum of point costs; its minimum is the first cell.
-  {
-    const size_t jhi = std::min(n - 1, window);
-    float run = 0.0f;
-    for (size_t j = 0; j <= jhi; ++j) {
-      const float d = a[0] - b[j];
-      run += d * d;
-      cur[j] = run;
-    }
-    if (cur[0] >= threshold) return cur[0];
-    std::swap(prev, cur);
-  }
-
-  for (size_t i = 1; i < n; ++i) {
-    const size_t jlo = (i >= window) ? i - window : 0;
-    const size_t jhi = std::min(n - 1, i + window);
-    // The buffers are ping-ponged, so cur still holds row i-2. Only the two
-    // cells flanking this row's band are ever read before being written
-    // (cur[jlo-1] as the in-row left neighbor, and both flanks as prev
-    // cells of row i+1, whose band grows by at most one on each side) —
-    // resetting them is enough, no O(n) refill.
-    if (jlo > 0) cur[jlo - 1] = kInf;
-    if (jhi + 1 < n) cur[jhi + 1] = kInf;
-    const float row_min =
-        kernels.dtw_row(a[i], b, prev.data(), cur.data(), jlo, jhi);
-    if (row_min >= threshold) return row_min;
-    std::swap(prev, cur);
-  }
-  return prev[n - 1];
+  const size_t need = simd::DtwScratchFloats(n);
+  if (scratch.floats.size() < need) scratch.floats.resize(need);
+  return scratch.floats.data();
 }
 
 }  // namespace
 
 ODYSSEY_HOT float SquaredDtw(const float* a, const float* b, size_t n,
                              size_t window) {
-  return BandDtw(a, b, n, window, kInf);
+  return SquaredDtwEarlyAbandon(a, b, n, window,
+                                std::numeric_limits<float>::infinity());
 }
 
 ODYSSEY_HOT float SquaredDtwEarlyAbandon(const float* a, const float* b,
                                          size_t n, size_t window,
                                          float threshold) {
-  return BandDtw(a, b, n, window, threshold);
+  return simd::ActiveTable().dtw(a, b, n, window, threshold,
+                                 ScratchForThisThread(n));
 }
 
-void ReserveDtwScratch(size_t n) {
-  DtwScratch& scratch = ScratchForThisThread();
-  scratch.prev.reserve(n);
-  scratch.cur.reserve(n);
-}
+void ReserveDtwScratch(size_t n) { ScratchForThisThread(n); }
 
 size_t WarpingWindowFromFraction(size_t length, double fraction) {
   if (fraction <= 0.0) return 0;

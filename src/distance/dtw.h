@@ -13,22 +13,28 @@ namespace odyssey {
 /// DTW distance is sqrt(SquaredDtw(...)).
 
 /// Squared DTW between two length-n series with warping window `window`
-/// (in points; 0 reduces to squared Euclidean). O(n * window) time. The DP
-/// rows live in grow-only thread-local scratch (see ReserveDtwScratch), so
+/// (in points; 0 reduces to squared Euclidean). O(n * window) time, through
+/// the dispatched simd::KernelTable::dtw kernel, whose result is
+/// bit-identical at every ISA level and symmetric in a and b. The kernel's
+/// scratch is grow-only and thread-local (see ReserveDtwScratch), so
 /// steady-state calls are allocation-free.
 ODYSSEY_HOT float SquaredDtw(const float* a, const float* b, size_t n,
                              size_t window);
 
 /// Early-abandoning variant: returns the exact squared DTW if it is
-/// < `threshold`, otherwise returns some value >= `threshold` once every
-/// cell of a DP row is provably above it.
+/// < `threshold`; otherwise returns the minimum of the first DP row whose
+/// cells are all >= `threshold` (every warping path crosses every row, so
+/// that bounds the final value). Checked after every row at every ISA
+/// level, so even abandoned values are bit-identical across levels.
 ODYSSEY_HOT float SquaredDtwEarlyAbandon(const float* a, const float* b,
                                          size_t n, size_t window,
                                          float threshold);
 
-/// Pre-sizes the calling thread's DTW DP-row scratch for length-n series —
-/// the executor warm-up calls this on every pool worker so even a worker's
-/// first DTW distance of a batch allocates nothing.
+/// Pre-sizes the calling thread's DTW scratch (simd::DtwScratchFloats(n):
+/// the scalar kernel's two DP rows, or the wavefront's padded reversed
+/// query plus its band row) for length-n series — the executor warm-up
+/// calls this on every pool worker so even a worker's first DTW distance of
+/// a batch allocates nothing.
 void ReserveDtwScratch(size_t n);
 
 /// Converts a warping fraction (e.g. 0.05 for the paper's "5% warping") to

@@ -10,19 +10,20 @@ namespace simd {
 /// has a slot at four ISA levels — portable scalar, SSE (x86-64 baseline),
 /// AVX2+FMA and AVX-512 — grouped into per-ISA tables so that call sites
 /// pay for dispatch once, not per distance computation. The AVX-512 table
-/// reuses the AVX2 PAA and DTW-row kernels, which wider vectors do not
-/// speed up. The active table is chosen at first use from CPUID,
-/// overridable with the ODYSSEY_SIMD environment variable ("scalar",
-/// "sse", "avx2", "avx512", "auto");
-/// requesting an ISA the CPU lacks silently degrades to the best supported
-/// one, so CI machines without AVX2/AVX-512 run the same binaries. Set
+/// reuses the AVX2 PAA kernel, which wider vectors do not speed up, and the
+/// SSE table reuses the scalar DTW kernel. The active table is chosen at
+/// first use from CPUID, overridable with the ODYSSEY_SIMD environment
+/// variable ("scalar", "sse", "avx2", "avx512", "auto"); requesting an ISA
+/// the CPU lacks silently degrades to the best supported one, so CI
+/// machines without AVX2/AVX-512 run the same binaries. Set
 /// ODYSSEY_SIMD_LOG=1 to print the resolved tier to stderr once, so bench
 /// JSON runs are attributable to an ISA.
 ///
 /// All kernels share the library's conventions: squared distances, float
 /// series, and early-abandoning variants that return some value >=
-/// `threshold` once the running sum provably crosses it (checked every 16
-/// points at every ISA level, so all levels abandon at the same cadence).
+/// `threshold` once the running sum provably crosses it, checked at the
+/// same cadence at every ISA level: every 16 points for Euclidean and
+/// LB_Keogh, every DP row for DTW.
 
 enum class Isa {
   kScalar = 0,
@@ -70,18 +71,32 @@ struct KernelTable {
   /// relative tolerance as the distance kernels).
   void (*paa)(const float* series, size_t n, int segments, double* out);
 
-  /// One banded DTW dynamic-programming row for row index i >= 1:
+  /// Early-abandoning squared DTW of two length-n series under a
+  /// Sakoe-Chiba band of `window` points (clamped to n - 1): exact when it
+  /// is < threshold (pass +inf for the full DP); otherwise, as soon as a
+  /// completed DP row's minimum is >= threshold, that minimum. `scratch`
+  /// holds at least DtwScratchFloats(n) floats, owned by the caller.
   ///
-  ///   cur[j] = (ai - b[j])^2 + min(prev[j], prev[j-1], cur[j-1])
-  ///
-  /// for j in [jlo, jhi] (inclusive), returning the row minimum. Caller
-  /// contract: prev/cur are full-length arrays with +inf outside the
-  /// previous/current band (so out-of-band reads are harmless), and
-  /// cur[jlo-1] is +inf when jlo > 0. When jlo == 0 the j == 0 cell takes
-  /// only prev[0] (no j-1 neighbors exist).
-  float (*dtw_row)(float ai, const float* b, const float* prev, float* cur,
-                   size_t jlo, size_t jhi);
+  /// Every cell is cost + min(diag, up, left) with cost = d * d (mul, never
+  /// FMA), and every level abandons after the same row, so results —
+  /// abandoned or not — are bit-identical at every ISA level. The scalar
+  /// kernel (shared by SSE) walks the band row by row. The AVX2/AVX-512
+  /// kernels sweep blocks of 8/16 rows as an anti-diagonal wavefront, one
+  /// row per lane, which takes the DP's add-min chain off the per-cell
+  /// critical path.
+  float (*dtw)(const float* a, const float* b, size_t n, size_t window,
+               float threshold, float* scratch);
 };
+
+/// Most rows one wavefront DTW block sweeps (the AVX-512 lane count).
+constexpr size_t kDtwMaxLanes = 16;
+
+/// Floats of caller scratch the dtw slot needs for length-n series, at every
+/// ISA level: the scalar kernel's two DP rows, or the wavefront's padded
+/// reversed query plus its band-row buffer.
+constexpr size_t DtwScratchFloats(size_t n) {
+  return 5 * n + 6 * kDtwMaxLanes;
+}
 
 /// Portable scalar reference kernels — always available, the ground truth
 /// the vector kernels are property-tested against.

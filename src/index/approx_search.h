@@ -25,7 +25,9 @@ float ApproximateSearchSquared(const Index& index, const PreparedQuery& query,
                                uint32_t* answer_id = nullptr);
 
 /// DTW variant: identical descent, but real distances are squared DTW with
-/// the query's warping window. The query must be prepared with an envelope.
+/// the query's warping window, each candidate first screened by LB_Keogh
+/// against the query's envelope at the running best. The query must be
+/// prepared with an envelope.
 float ApproximateSearchSquaredDtw(const Index& index,
                                   const PreparedQuery& query,
                                   uint32_t* answer_id = nullptr);

@@ -140,11 +140,19 @@ TEST(DtwTest, MonotoneNonIncreasingInWindow) {
 }
 
 TEST(DtwTest, Symmetric) {
+  // Bitwise, not approximately: approximate search computes DTW(query,
+  // series) and the exact scan DTW(series, query), and KnnSet dedups an id
+  // offered by both only if the two distances agree exactly.
   Rng rng(9);
-  const std::vector<float> a = RandomSeries(&rng, 32);
-  const std::vector<float> b = RandomSeries(&rng, 32);
-  EXPECT_TRUE(NearlyEqual(SquaredDtw(a.data(), b.data(), 32, 4),
-                          SquaredDtw(b.data(), a.data(), 32, 4)));
+  for (size_t n : {1u, 7u, 32u, 64u, 100u, 256u}) {
+    for (size_t window : {0u, 1u, 4u, 12u, 300u}) {
+      const std::vector<float> a = RandomSeries(&rng, n);
+      const std::vector<float> b = RandomSeries(&rng, n);
+      EXPECT_EQ(SquaredDtw(a.data(), b.data(), n, window),
+                SquaredDtw(b.data(), a.data(), n, window))
+          << "n=" << n << " window=" << window;
+    }
+  }
 }
 
 TEST(DtwTest, ZeroForIdenticalSeries) {
@@ -168,18 +176,26 @@ TEST(DtwTest, AlignsShiftedSeries) {
 }
 
 TEST(DtwTest, EarlyAbandonExactBelowThreshold) {
+  // The exact scan relies on "result < threshold => result is exact", so an
+  // abandoned value must never fall below its threshold — not even by an
+  // ulp. No slack.
   Rng rng(13);
-  const std::vector<float> a = RandomSeries(&rng, 48);
-  const std::vector<float> b = RandomSeries(&rng, 48);
-  const float exact = SquaredDtw(a.data(), b.data(), 48, 5);
-  EXPECT_TRUE(NearlyEqual(
-      SquaredDtwEarlyAbandon(a.data(), b.data(), 48, 5, exact * 2 + 1),
-      exact));
-  if (exact > 0) {
-    EXPECT_GE(
-        SquaredDtwEarlyAbandon(a.data(), b.data(), 48, 5, exact / 2) *
-            (1 + 1e-5f),
-        exact / 2);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.NextBounded(130);
+    const size_t window = rng.NextBounded(n + 2);
+    const std::vector<float> a = RandomSeries(&rng, n);
+    const std::vector<float> b = RandomSeries(&rng, n);
+    const float exact = SquaredDtw(a.data(), b.data(), n, window);
+    EXPECT_EQ(SquaredDtwEarlyAbandon(a.data(), b.data(), n, window,
+                                     exact * 2 + 1),
+              exact)
+        << "n=" << n << " window=" << window;
+    for (float threshold : {exact, exact / 2, exact / 16}) {
+      EXPECT_GE(
+          SquaredDtwEarlyAbandon(a.data(), b.data(), n, window, threshold),
+          threshold)
+          << "n=" << n << " window=" << window;
+    }
   }
 }
 
@@ -475,39 +491,56 @@ TEST(SimdKernelTest, Avx512AlignedFastPathBitIdenticalToUnaligned) {
   std::free(uc - 1);
 }
 
-TEST(SimdKernelTest, DtwRowBitIdenticalToScalar) {
-  // The DTW row kernels use mul (not FMA) and a scalar dependency sweep so
-  // every ISA must produce bit-identical DP rows — exact EQ, no tolerance.
+TEST(SimdKernelTest, DtwBitIdenticalToScalar) {
+  // Every cell is d*d + min(diag, up, left) with mul (not FMA) at every ISA
+  // level, and every level abandons after the same row with that row's
+  // minimum, so each result must match the scalar kernel bit for bit —
+  // exact EQ, no tolerance. The lengths sit below, at and past the 8- and
+  // 16-lane block sizes of the wavefront kernels; the windows run from
+  // Euclidean (0) through the full matrix (>= n).
   constexpr float kInf = std::numeric_limits<float>::infinity();
   const simd::KernelTable& scalar = simd::ScalarTable();
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (size_t n : {63u, 64u, 65u, 255u, 256u, 257u}) lengths.push_back(n);
   for (const simd::KernelTable* table : VectorTables()) {
     Rng rng(61);
-    for (int trial = 0; trial < 300; ++trial) {
-      const size_t n = 1 + rng.NextBounded(256);
-      const size_t jlo = rng.NextBounded(n);
-      const size_t jhi = jlo + rng.NextBounded(n - jlo);
-      const std::vector<float> b = RandomSeries(&rng, n);
-      const float ai = static_cast<float>(rng.NextGaussian());
-      // A plausible previous row: finite non-negative values on a band that
-      // overlaps [jlo, jhi], +inf elsewhere (the BandDtw invariant).
-      std::vector<float> prev(n, kInf);
-      const size_t plo = (jlo > 0) ? jlo - 1 : 0;
-      for (size_t j = plo; j <= jhi; ++j) {
-        prev[j] = static_cast<float>(rng.NextDouble()) * 10.0f;
-      }
-      std::vector<float> cur_scalar(n, kInf), cur_vector(n, kInf);
-      const float min_scalar =
-          scalar.dtw_row(ai, b.data(), prev.data(), cur_scalar.data(), jlo,
-                         jhi);
-      const float min_vector =
-          table->dtw_row(ai, b.data(), prev.data(), cur_vector.data(), jlo,
-                         jhi);
-      ASSERT_EQ(min_scalar, min_vector)
-          << simd::IsaName(table->isa) << " n=" << n << " jlo=" << jlo
-          << " jhi=" << jhi;
-      for (size_t j = jlo; j <= jhi; ++j) {
-        ASSERT_EQ(cur_scalar[j], cur_vector[j])
-            << simd::IsaName(table->isa) << " j=" << j;
+    for (size_t n : lengths) {
+      std::vector<float> want_scratch(simd::DtwScratchFloats(n));
+      std::vector<float> got_scratch(simd::DtwScratchFloats(n));
+      for (int shape = 0; shape < 2; ++shape) {
+        // shape 1 draws from four values, so costs and DP cells tie often.
+        std::vector<float> a(n), b(n);
+        for (size_t i = 0; i < n; ++i) {
+          a[i] = shape == 0 ? static_cast<float>(rng.NextGaussian())
+                            : static_cast<float>(rng.NextBounded(4)) * 0.5f;
+          b[i] = shape == 0 ? static_cast<float>(rng.NextGaussian())
+                            : static_cast<float>(rng.NextBounded(4)) * 0.5f;
+        }
+        for (size_t window : {size_t{0}, size_t{1}, size_t{2}, size_t{12},
+                              n - 1, n, n + 5}) {
+          const auto dtw = [&](const simd::KernelTable& t,
+                               std::vector<float>* scratch, float threshold) {
+            return t.dtw(a.data(), b.data(), n, window, threshold,
+                         scratch->data());
+          };
+          const float exact = dtw(scalar, &want_scratch, kInf);
+          ASSERT_EQ(dtw(*table, &got_scratch, kInf), exact)
+              << simd::IsaName(table->isa) << " n=" << n << " w=" << window
+              << " shape=" << shape;
+          ASSERT_EQ(dtw(*table, &got_scratch, std::nextafter(exact, kInf)),
+                    exact)
+              << simd::IsaName(table->isa) << " n=" << n << " w=" << window;
+          for (float threshold : {exact, exact / 2}) {
+            const float abandoned = dtw(*table, &got_scratch, threshold);
+            ASSERT_GE(abandoned, threshold)
+                << simd::IsaName(table->isa) << " n=" << n
+                << " w=" << window;
+            ASSERT_EQ(abandoned, dtw(scalar, &want_scratch, threshold))
+                << simd::IsaName(table->isa) << " n=" << n
+                << " w=" << window;
+          }
+        }
       }
     }
   }

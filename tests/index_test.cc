@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,34 @@ TEST(ApproxSearchTest, FindsExactMatchForDatasetMember) {
     const PreparedQuery prepared =
         PreparedQuery::Prepare(data.data(probe), index.config());
     EXPECT_EQ(ApproximateSearchSquared(index, prepared), 0.0f);
+  }
+}
+
+TEST(ApproxSearchTest, DtwReturnsTheBestOfItsLeaf) {
+  // LB_Keogh prunes the DTW leaf scan but, being a lower bound, never
+  // changes its answer: the id and distance are the brute-force DTW best
+  // over the leaf the search descends to.
+  const SeriesCollection data = GenerateSeismicLike(1000, 64, 29);
+  const Index index = Index::Build(SeriesCollection(data), SmallOptions(64));
+  const SeriesCollection queries = GenerateUniformQueries(data, 20, 1.0, 31);
+  const size_t window = WarpingWindowFromFraction(64, 0.05);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const PreparedQuery prepared = PreparedQuery::Prepare(
+        queries.data(q), index.config(), /*build_dtw_envelope=*/true, window);
+    uint32_t id = 0;
+    const float approx = ApproximateSearchSquaredDtw(index, prepared, &id);
+    float best = std::numeric_limits<float>::infinity();
+    uint32_t best_id = 0;
+    for (uint32_t candidate : ApproximateSearchLeaf(index, prepared)->ids()) {
+      const float d = SquaredDtw(queries.data(q), index.data().data(candidate),
+                                 64, window);
+      if (d < best) {
+        best = d;
+        best_id = candidate;
+      }
+    }
+    EXPECT_EQ(id, best_id) << "query " << q;
+    EXPECT_EQ(approx, best) << "query " << q;
   }
 }
 
