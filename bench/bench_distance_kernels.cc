@@ -2,7 +2,10 @@
 // (src/distance/simd.h): squared Euclidean, early-abandoning Euclidean,
 // LB_Keogh, and banded DTW at each available ISA level on 256-point series
 // (the paper's standard series length). The scalar/vector ratio here is the
-// acceptance number for SIMD-touching PRs.
+// acceptance number for SIMD-touching PRs. BM_MindistSax/BM_MindistWord
+// time the summary lower bounds the exact search computes per series and
+// per tree node: the direct per-segment definition (Arg 0) against the
+// per-query MindistTable (Arg 1).
 //
 //   $ ./bench_distance_kernels
 
@@ -17,6 +20,9 @@
 #include "src/distance/dtw.h"
 #include "src/distance/lb_keogh.h"
 #include "src/distance/simd.h"
+#include "src/index/builder.h"
+#include "src/isax/mindist.h"
+#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -191,6 +197,88 @@ void BM_SquaredDtw256(benchmark::State& state) {
   state.SetLabel(simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
+
+/// A real index for the summary-bound benches: 16k random walks of 256
+/// points at 16 segments (the MESSI/Odyssey defaults), its every leaf SAX
+/// row and every tree node's word, and one unrelated query's PAA.
+struct MindistFixture {
+  Index index;
+  std::vector<const uint8_t*> sax_rows;
+  std::vector<const IsaxWord*> words;
+  std::vector<double> query_paa;
+
+  static const MindistFixture& Get() {
+    static const MindistFixture& fixture = *new MindistFixture();
+    return fixture;
+  }
+
+ private:
+  MindistFixture()
+      : index(Index::Build(GenerateRandomWalk(16384, kLength, 101),
+                           bench::DefaultIndexOptions(kLength))) {
+    for (size_t r = 0; r < index.tree().root_count(); ++r) {
+      Collect(index.tree().root(r));
+    }
+    const SeriesCollection query = GenerateRandomWalk(1, kLength, 103);
+    query_paa = ComputePaa(query.data(0), index.config().paa);
+  }
+
+  void Collect(const TreeNode* node) {
+    words.push_back(&node->word());
+    if (node->is_leaf()) {
+      for (size_t i = 0; i < node->ids().size(); ++i) {
+        sax_rows.push_back(node->leaf_sax(i));
+      }
+      return;
+    }
+    Collect(node->left());
+    Collect(node->right());
+  }
+};
+
+void BM_MindistSax(benchmark::State& state) {
+  const MindistFixture& f = MindistFixture::Get();
+  const IsaxConfig& config = f.index.config();
+  const MindistTable table = MindistTable::ForPaa(f.query_paa.data(), config);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (const uint8_t* sax : f.sax_rows) {
+        checksum +=
+            testing_utils::MindistPaaToSax(f.query_paa.data(), sax, config);
+      }
+    } else {
+      for (const uint8_t* sax : f.sax_rows) checksum += table.ToSax(sax);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.sax_rows.size()));
+  state.SetLabel(state.range(0) == 0 ? "reference" : "table");
+}
+BENCHMARK(BM_MindistSax)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_MindistWord(benchmark::State& state) {
+  const MindistFixture& f = MindistFixture::Get();
+  const IsaxConfig& config = f.index.config();
+  const MindistTable table = MindistTable::ForPaa(f.query_paa.data(), config);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (const IsaxWord* word : f.words) {
+        checksum +=
+            testing_utils::MindistPaaToWord(f.query_paa.data(), *word, config);
+      }
+    } else {
+      for (const IsaxWord* word : f.words) checksum += table.ToWord(*word);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.words.size()));
+  state.SetLabel(state.range(0) == 0 ? "reference" : "table");
+}
+BENCHMARK(BM_MindistWord)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace odyssey

@@ -12,20 +12,26 @@ namespace {
 
 /// Descends to the best-matching non-empty leaf. If the query's own root
 /// key has no subtree, falls back to the root with the smallest word-level
-/// lower bound (the standard iSAX approximate-search fallback).
-const TreeNode* DescendToLeaf(const Index& index, const double* query_paa,
-                              const uint8_t* query_sax) {
+/// lower bound (the standard iSAX approximate-search fallback), ranked
+/// through `paa_bounds` or, when null, a table built here.
+const TreeNode* DescendToLeaf(const Index& index, const PreparedQuery& query,
+                              const MindistTable* paa_bounds) {
   const IndexTree& tree = index.tree();
   ODYSSEY_CHECK(tree.root_count() > 0);
   const IsaxConfig& config = index.config();
+  const uint8_t* query_sax = query.sax();
 
   const uint32_t key = RootKey(query_sax, config);
   int root_idx = tree.FindRoot(key);
   if (root_idx < 0) {
+    MindistTable local;
+    if (paa_bounds == nullptr) {
+      local = MindistTable::ForPaa(query.paa(), config);
+      paa_bounds = &local;
+    }
     float best = std::numeric_limits<float>::infinity();
     for (size_t i = 0; i < tree.root_count(); ++i) {
-      const float lb =
-          MindistPaaToWord(query_paa, tree.root(i)->word(), config);
+      const float lb = paa_bounds->ToWord(tree.root(i)->word());
       if (lb < best) {
         best = lb;
         root_idx = static_cast<int>(i);
@@ -65,13 +71,15 @@ float ScanLeaf(const Index& index, const TreeNode* leaf, const float* query,
 }  // namespace
 
 const TreeNode* ApproximateSearchLeaf(const Index& index,
-                                      const PreparedQuery& query) {
-  return DescendToLeaf(index, query.paa(), query.sax());
+                                      const PreparedQuery& query,
+                                      const MindistTable* paa_bounds) {
+  return DescendToLeaf(index, query, paa_bounds);
 }
 
 float ApproximateSearchSquared(const Index& index, const PreparedQuery& query,
-                               uint32_t* answer_id) {
-  const TreeNode* leaf = DescendToLeaf(index, query.paa(), query.sax());
+                               uint32_t* answer_id,
+                               const MindistTable* paa_bounds) {
+  const TreeNode* leaf = DescendToLeaf(index, query, paa_bounds);
   const size_t n = index.config().series_length();
   const simd::KernelTable& kernels = simd::ActiveTable();
   return ScanLeaf(index, leaf, query.series(), answer_id,
@@ -87,7 +95,7 @@ float ApproximateSearchSquaredDtw(const Index& index,
                                   uint32_t* answer_id) {
   ODYSSEY_CHECK_MSG(query.has_envelope(),
                     "DTW approximate search needs a DTW-prepared query");
-  const TreeNode* leaf = DescendToLeaf(index, query.paa(), query.sax());
+  const TreeNode* leaf = DescendToLeaf(index, query, nullptr);
   const size_t n = index.config().series_length();
   const size_t window = query.dtw_window();
   const Envelope& envelope = query.envelope();

@@ -133,7 +133,9 @@ QueryExecution::QueryExecution(const Index* index, const PreparedQuery& query,
         query.has_envelope() && query.dtw_window() == options_.dtw_window,
         "DTW execution needs a query prepared with the same warping window");
     envelope_ = &query.envelope();
-    envelope_paa_ = &query.envelope_paa();
+    bounds_ = MindistTable::ForEnvelope(query.envelope_paa(), index_->config());
+  } else {
+    bounds_ = MindistTable::ForPaa(query.paa(), index_->config());
   }
   if (shared_bsf_ == nullptr) shared_bsf_ = &local_bsf_;
   batch_ranges_ = PartitionRsBatches(index_->tree().root_count(),
@@ -150,13 +152,15 @@ float QueryExecution::SeedInitialBsf() {
   if (options_.use_dtw) {
     approx_sq = ApproximateSearchSquaredDtw(*index_, *prepared_, &approx_id);
   } else {
-    approx_sq = ApproximateSearchSquared(*index_, *prepared_, &approx_id);
+    approx_sq =
+        ApproximateSearchSquared(*index_, *prepared_, &approx_id, &bounds_);
   }
   OfferCandidate(approx_sq, approx_id);
   if (options_.approximate && options_.k > 1) {
     // Approximate k-NN: the whole best-matching leaf feeds the answer set
     // (the single best is already in).
-    ScanLeaf(ApproximateSearchLeaf(*index_, *prepared_));
+    ScanLeaf(ApproximateSearchLeaf(*index_, *prepared_,
+                                   options_.use_dtw ? nullptr : &bounds_));
   }
   seeded_ = true;
   stat_initial_bsf_ = std::sqrt(static_cast<double>(approx_sq));
@@ -404,18 +408,11 @@ ODYSSEY_HOT float QueryExecution::PruneThreshold() const {
 }
 
 ODYSSEY_HOT float QueryExecution::LeafLowerBound(const TreeNode* node) const {
-  if (options_.use_dtw) {
-    return MindistEnvelopeToWord(*envelope_paa_, node->word(),
-                                 index_->config());
-  }
-  return MindistPaaToWord(prepared_->paa(), node->word(), index_->config());
+  return bounds_.ToWord(node->word());
 }
 
 ODYSSEY_HOT float QueryExecution::SeriesLowerBound(const uint8_t* sax) const {
-  if (options_.use_dtw) {
-    return MindistEnvelopeToSax(*envelope_paa_, sax, index_->config());
-  }
-  return MindistPaaToSax(prepared_->paa(), sax, index_->config());
+  return bounds_.ToSax(sax);
 }
 
 ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,

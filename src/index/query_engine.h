@@ -323,10 +323,12 @@ class QueryExecution {
   const Index* index_;
   const PreparedQuery* prepared_;
   const float* query_;  // prepared_->series(), cached for the scan loop
-  // DTW-only views into *prepared_, resolved once in the constructor so the
-  // per-series bound checks pay no precondition re-validation.
+  // DTW-only view into *prepared_, resolved once in the constructor so the
+  // per-series checks pay no precondition re-validation.
   const Envelope* envelope_ = nullptr;
-  const EnvelopePaa* envelope_paa_ = nullptr;
+  /// The query's summary lower-bound terms (envelope-PAA terms for DTW),
+  /// built once in the constructor; every node and series bound reads it.
+  MindistTable bounds_;
   QueryOptions options_;
   /// Dispatched distance kernels, resolved once per execution so the scan
   /// loop pays no per-distance dispatch cost.

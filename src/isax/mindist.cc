@@ -1,62 +1,10 @@
 #include "src/isax/mindist.h"
 
-#include <algorithm>
+#include <limits>
+
+#include "src/common/check.h"
 
 namespace odyssey {
-namespace {
-
-/// Squared, count-weighted gap between value `q` and region [lo, hi].
-inline double SegmentGapSq(double q, double lo, double hi, size_t count) {
-  double gap = 0.0;
-  if (q < lo) {
-    gap = lo - q;
-  } else if (q > hi) {
-    gap = q - hi;
-  }
-  return static_cast<double>(count) * gap * gap;
-}
-
-/// Squared, count-weighted gap between the band [ql, qu] and region
-/// [lo, hi]: positive only when the intervals are disjoint.
-inline double BandGapSq(double ql, double qu, double lo, double hi,
-                        size_t count) {
-  double gap = 0.0;
-  if (lo > qu) {
-    gap = lo - qu;
-  } else if (hi < ql) {
-    gap = ql - hi;
-  }
-  return static_cast<double>(count) * gap * gap;
-}
-
-}  // namespace
-
-float MindistPaaToWord(const double* query_paa, const IsaxWord& word,
-                       const IsaxConfig& config) {
-  const BreakpointTable& table = BreakpointTable::Get();
-  double sum = 0.0;
-  for (int i = 0; i < config.segments(); ++i) {
-    const int bits = word.bits[i];
-    const uint32_t symbol = word.symbols[i];
-    sum += SegmentGapSq(query_paa[i], table.RegionLower(bits, symbol),
-                        table.RegionUpper(bits, symbol),
-                        config.paa.SegmentCount(i));
-  }
-  return static_cast<float>(sum);
-}
-
-float MindistPaaToSax(const double* query_paa, const uint8_t* sax,
-                      const IsaxConfig& config) {
-  const BreakpointTable& table = BreakpointTable::Get();
-  const int bits = config.max_bits;
-  double sum = 0.0;
-  for (int i = 0; i < config.segments(); ++i) {
-    sum += SegmentGapSq(query_paa[i], table.RegionLower(bits, sax[i]),
-                        table.RegionUpper(bits, sax[i]),
-                        config.paa.SegmentCount(i));
-  }
-  return static_cast<float>(sum);
-}
 
 EnvelopePaa ComputeEnvelopePaa(const Envelope& envelope,
                                const IsaxConfig& config) {
@@ -66,33 +14,50 @@ EnvelopePaa ComputeEnvelopePaa(const Envelope& envelope,
   return out;
 }
 
-float MindistEnvelopeToWord(const EnvelopePaa& env_paa, const IsaxWord& word,
-                            const IsaxConfig& config) {
-  const BreakpointTable& table = BreakpointTable::Get();
-  double sum = 0.0;
-  for (int i = 0; i < config.segments(); ++i) {
-    const int bits = word.bits[i];
-    const uint32_t symbol = word.symbols[i];
-    sum += BandGapSq(env_paa.lower[i], env_paa.upper[i],
-                     table.RegionLower(bits, symbol),
-                     table.RegionUpper(bits, symbol),
-                     config.paa.SegmentCount(i));
-  }
-  return static_cast<float>(sum);
+MindistTable MindistTable::ForPaa(const double* query_paa,
+                                  const IsaxConfig& config) {
+  return MindistTable(query_paa, query_paa, config);
 }
 
-float MindistEnvelopeToSax(const EnvelopePaa& env_paa, const uint8_t* sax,
-                           const IsaxConfig& config) {
-  const BreakpointTable& table = BreakpointTable::Get();
-  const int bits = config.max_bits;
-  double sum = 0.0;
-  for (int i = 0; i < config.segments(); ++i) {
-    sum += BandGapSq(env_paa.lower[i], env_paa.upper[i],
-                     table.RegionLower(bits, sax[i]),
-                     table.RegionUpper(bits, sax[i]),
-                     config.paa.SegmentCount(i));
+MindistTable MindistTable::ForEnvelope(const EnvelopePaa& env_paa,
+                                       const IsaxConfig& config) {
+  ODYSSEY_CHECK(env_paa.lower.size() ==
+                    static_cast<size_t>(config.segments()) &&
+                env_paa.upper.size() == env_paa.lower.size());
+  return MindistTable(env_paa.lower.data(), env_paa.upper.data(), config);
+}
+
+MindistTable::MindistTable(const double* lower, const double* upper,
+                           const IsaxConfig& config)
+    : segments_(config.segments()),
+      max_bits_(config.max_bits),
+      cardinality_(1u << config.max_bits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double>& bps = BreakpointTable::Get().ForBits(max_bits_);
+  cells_.resize(static_cast<size_t>(segments_) * cardinality_);
+  zero_.resize(segments_);
+  double* row = cells_.data();
+  for (int i = 0; i < segments_; ++i, row += cardinality_) {
+    const double ql = lower[i];
+    const double qu = upper[i];
+    // Negated so a NaN band (all terms zero) passes like the definition.
+    ODYSSEY_CHECK_MSG(!(ql > qu), "envelope PAA band with lower > upper");
+    const double count = static_cast<double>(config.paa.SegmentCount(i));
+    uint32_t below = 0;  // symbols [0, below) lie entirely under the band
+    for (uint32_t s = 0; s < cardinality_; ++s) {
+      const double lo = (s == 0) ? -kInf : bps[s - 1];
+      const double hi = (s == cardinality_ - 1) ? kInf : bps[s];
+      double gap = 0.0;
+      if (lo > qu) {
+        gap = lo - qu;
+      } else if (hi < ql) {
+        gap = ql - hi;
+        below = s + 1;
+      }
+      row[s] = count * gap * gap;
+    }
+    zero_[i] = below;
   }
-  return static_cast<float>(sum);
 }
 
 }  // namespace odyssey

@@ -423,7 +423,7 @@ TEST(HotPathPurityTest, SteadyStateExecutorBatchIsAllocationFree) {
 
     // Warm-up epoch: heats the (already pre-sized) worker scratch and any
     // lazy one-shot initialization the allowlist documents (kernel-table
-    // resolution, breakpoint singleton).
+    // resolution).
     const BatchReport warm = cluster.AnswerBatch(warm_queries);
     ASSERT_EQ(warm.answers.size(), warm_queries.size());
 

@@ -1,16 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/dataset/generators.h"
+#include "src/dataset/workload.h"
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
+#include "src/distance/simd.h"
+#include "src/index/approx_search.h"
+#include "src/index/builder.h"
+#include "src/index/pqueue.h"
+#include "src/index/query_engine.h"
 #include "src/isax/breakpoints.h"
 #include "src/isax/isax_word.h"
 #include "src/isax/mindist.h"
 #include "src/isax/paa.h"
+#include "src/query/prepared_query.h"
+#include "tests/testing_utils.h"
 
 namespace odyssey {
 namespace {
@@ -204,13 +216,13 @@ TEST_P(MindistPropertyTest, WordMindistLowerBoundsEuclidean) {
   Rng rng(21);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const std::vector<double> paa = ComputePaa(queries.data(qi), config.paa);
+    const MindistTable table = MindistTable::ForPaa(paa.data(), config);
     for (size_t i = 0; i < data.size(); ++i) {
       ComputeSax(data.data(i), config, sax.data());
       const float ed =
           SquaredEuclideanScalar(queries.data(qi), data.data(i), length);
       // Full-cardinality summary bound.
-      ASSERT_LE(MindistPaaToSax(paa.data(), sax.data(), config),
-                ed * (1 + 1e-5f) + 1e-6f);
+      ASSERT_LE(table.ToSax(sax.data()), ed * (1 + 1e-5f) + 1e-6f);
       // Variable-cardinality word bound, at random per-segment bit depths.
       IsaxWord word;
       word.symbols.resize(segments);
@@ -221,8 +233,7 @@ TEST_P(MindistPropertyTest, WordMindistLowerBoundsEuclidean) {
         word.symbols[s] =
             static_cast<uint8_t>(sax[s] >> (kMaxSaxBits - bits));
       }
-      ASSERT_LE(MindistPaaToWord(paa.data(), word, config),
-                ed * (1 + 1e-5f) + 1e-6f);
+      ASSERT_LE(table.ToWord(word), ed * (1 + 1e-5f) + 1e-6f);
     }
   }
 }
@@ -240,7 +251,8 @@ TEST(MindistTest, SeriesAgainstOwnSummaryIsZero) {
   for (size_t i = 0; i < data.size(); ++i) {
     ComputeSax(data.data(i), config, sax.data());
     const std::vector<double> paa = ComputePaa(data.data(i), config.paa);
-    EXPECT_EQ(MindistPaaToSax(paa.data(), sax.data(), config), 0.0f);
+    EXPECT_EQ(MindistTable::ForPaa(paa.data(), config).ToSax(sax.data()),
+              0.0f);
   }
 }
 
@@ -252,6 +264,7 @@ TEST(MindistTest, TighterWithMoreBits) {
   std::vector<uint8_t> sax(8);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const std::vector<double> paa = ComputePaa(queries.data(qi), config.paa);
+    const MindistTable table = MindistTable::ForPaa(paa.data(), config);
     for (size_t i = 0; i < data.size(); ++i) {
       ComputeSax(data.data(i), config, sax.data());
       float prev = -1.0f;
@@ -263,7 +276,7 @@ TEST(MindistTest, TighterWithMoreBits) {
           word.symbols[s] =
               static_cast<uint8_t>(sax[s] >> (kMaxSaxBits - bits));
         }
-        const float lb = MindistPaaToWord(paa.data(), word, config);
+        const float lb = table.ToWord(word);
         ASSERT_GE(lb, prev - 1e-6f) << "bits=" << bits;
         prev = lb;
       }
@@ -279,19 +292,360 @@ TEST(MindistTest, EnvelopeMindistLowerBoundsDtw) {
   std::vector<uint8_t> sax(8);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const Envelope env = BuildEnvelope(queries.data(qi), 64, window);
-    const EnvelopePaa env_paa = ComputeEnvelopePaa(env, config);
+    const MindistTable table =
+        MindistTable::ForEnvelope(ComputeEnvelopePaa(env, config), config);
     for (size_t i = 0; i < data.size(); ++i) {
       ComputeSax(data.data(i), config, sax.data());
       const float dtw =
           SquaredDtw(queries.data(qi), data.data(i), 64, window);
-      ASSERT_LE(MindistEnvelopeToSax(env_paa, sax.data(), config),
-                dtw * (1 + 1e-5f) + 1e-6f);
+      ASSERT_LE(table.ToSax(sax.data()), dtw * (1 + 1e-5f) + 1e-6f);
       const IsaxWord root =
           IsaxWord::Root(config, RootKey(sax.data(), config));
-      ASSERT_LE(MindistEnvelopeToWord(env_paa, root, config),
-                dtw * (1 + 1e-5f) + 1e-6f);
+      ASSERT_LE(table.ToWord(root), dtw * (1 + 1e-5f) + 1e-6f);
     }
   }
+}
+
+// --------------------------------------------------------- MindistTable
+
+// MindistTable must reproduce the reference definitions
+// (testing_utils::Mindist*) bit for bit: the table is a pure speed-up, so
+// every pruning decision, and with it every query's stats, must stay the
+// same.
+
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+/// Checks `table` against the reference bounds `ref_sax`/`ref_word` on
+/// SAX rows that visit every (segment, symbol) cell plus random rows, and
+/// on words at every depth 1..max_bits (all symbols, per segment rotated)
+/// plus random mixed-depth words.
+template <typename RefSax, typename RefWord>
+void ExpectTableMatchesReference(const MindistTable& table,
+                                 const IsaxConfig& config, Rng* rng,
+                                 const RefSax& ref_sax,
+                                 const RefWord& ref_word) {
+  const int w = config.segments();
+  const int m = config.max_bits;
+  const uint32_t card = 1u << m;
+  std::vector<uint8_t> sax(w);
+  for (uint32_t s = 0; s < card; ++s) {
+    for (int i = 0; i < w; ++i) {
+      sax[i] = static_cast<uint8_t>((s + 37u * static_cast<uint32_t>(i)) %
+                                    card);
+    }
+    ASSERT_EQ(Bits(table.ToSax(sax.data())), Bits(ref_sax(sax.data())))
+        << "rotated sax " << s;
+  }
+  for (int r = 0; r < 64; ++r) {
+    for (int i = 0; i < w; ++i) {
+      sax[i] = static_cast<uint8_t>(rng->NextBounded(card));
+    }
+    ASSERT_EQ(Bits(table.ToSax(sax.data())), Bits(ref_sax(sax.data())))
+        << "random sax " << r;
+  }
+  IsaxWord word;
+  word.symbols.resize(w);
+  word.bits.resize(w);
+  for (int b = 1; b <= m; ++b) {
+    const uint32_t depth_card = 1u << b;
+    word.bits.assign(w, static_cast<uint8_t>(b));
+    for (uint32_t s = 0; s < depth_card; ++s) {
+      for (int i = 0; i < w; ++i) {
+        word.symbols[i] = static_cast<uint8_t>(
+            (s + 5u * static_cast<uint32_t>(i)) % depth_card);
+      }
+      ASSERT_EQ(Bits(table.ToWord(word)), Bits(ref_word(word)))
+          << "depth " << b << " word " << word.ToString();
+    }
+  }
+  for (int r = 0; r < 64; ++r) {
+    for (int i = 0; i < w; ++i) {
+      const int b = 1 + static_cast<int>(rng->NextBounded(m));
+      word.bits[i] = static_cast<uint8_t>(b);
+      word.symbols[i] = static_cast<uint8_t>(rng->NextBounded(1u << b));
+    }
+    ASSERT_EQ(Bits(table.ToWord(word)), Bits(ref_word(word)))
+        << "mixed word " << word.ToString();
+  }
+}
+
+/// Query PAA vectors that stress the region edges: ordinary random-walk
+/// means, values exactly on a breakpoint (of the full cardinality and of
+/// coarser depths, which are the same doubles), and values beyond the
+/// outermost breakpoints.
+std::vector<std::vector<double>> EdgeQueryPaas(const IsaxConfig& config,
+                                               uint64_t seed) {
+  const int w = config.segments();
+  const int m = config.max_bits;
+  const BreakpointTable& bp = BreakpointTable::Get();
+  std::vector<std::vector<double>> out;
+  const SeriesCollection walks =
+      GenerateRandomWalk(3, config.series_length(), seed);
+  for (size_t q = 0; q < walks.size(); ++q) {
+    out.push_back(ComputePaa(walks.data(q), config.paa));
+  }
+  for (int b = 1; b <= m; ++b) {
+    const std::vector<double>& bps = bp.ForBits(b);
+    std::vector<double> on(w);
+    for (int i = 0; i < w; ++i) on[i] = bps[(7 * i + b) % bps.size()];
+    out.push_back(on);
+  }
+  const std::vector<double>& full = bp.ForBits(m);
+  std::vector<double> beyond(w);
+  for (int i = 0; i < w; ++i) {
+    beyond[i] = (i % 2 == 0) ? full.front() - 0.5 * (i + 1)
+                             : full.back() + 0.5 * (i + 1);
+  }
+  out.push_back(beyond);
+  out.push_back(std::vector<double>(w, -1e3));
+  out.push_back(std::vector<double>(w, 1e3));
+  return out;
+}
+
+class MindistTableTest
+    : public ::testing::TestWithParam<std::tuple<int, size_t, int>> {};
+
+TEST_P(MindistTableTest, EuclideanBoundsAreBitIdenticalToReference) {
+  const auto [max_bits, length, segments] = GetParam();
+  const IsaxConfig config(length, segments, max_bits);
+  Rng rng(501 + static_cast<uint64_t>(max_bits));
+  for (const std::vector<double>& paa : EdgeQueryPaas(config, 503)) {
+    const MindistTable table = MindistTable::ForPaa(paa.data(), config);
+    ExpectTableMatchesReference(
+        table, config, &rng,
+        [&](const uint8_t* sax) {
+          return testing_utils::MindistPaaToSax(paa.data(), sax, config);
+        },
+        [&](const IsaxWord& word) {
+          return testing_utils::MindistPaaToWord(paa.data(), word, config);
+        });
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(MindistTableTest, EnvelopeBoundsAreBitIdenticalToReference) {
+  const auto [max_bits, length, segments] = GetParam();
+  const IsaxConfig config(length, segments, max_bits);
+  Rng rng(507 + static_cast<uint64_t>(max_bits));
+  std::vector<EnvelopePaa> bands;
+  // Real envelopes at the extreme windows (0: the band is the series
+  // itself; n: every point's band is the global min/max) and a typical one.
+  const SeriesCollection walks = GenerateSeismicLike(2, length, 509);
+  for (size_t q = 0; q < walks.size(); ++q) {
+    for (const size_t window : {size_t{0}, length / 20, length}) {
+      bands.push_back(ComputeEnvelopePaa(
+          BuildEnvelope(walks.data(q), length, window), config));
+    }
+  }
+  // Bands whose edges sit exactly on breakpoints or beyond the outermost.
+  for (const std::vector<double>& paa : EdgeQueryPaas(config, 511)) {
+    EnvelopePaa point{paa, paa};
+    bands.push_back(point);
+    EnvelopePaa wide = point;
+    for (int i = 0; i < segments; ++i) {
+      wide.lower[i] = std::min(paa[i], paa[(i + 1) % segments]);
+      wide.upper[i] = std::max(paa[i], paa[(i + 1) % segments]);
+    }
+    bands.push_back(wide);
+  }
+  for (const EnvelopePaa& band : bands) {
+    const MindistTable table = MindistTable::ForEnvelope(band, config);
+    ExpectTableMatchesReference(
+        table, config, &rng,
+        [&](const uint8_t* sax) {
+          return testing_utils::MindistEnvelopeToSax(band, sax, config);
+        },
+        [&](const IsaxWord& word) {
+          return testing_utils::MindistEnvelopeToWord(band, word, config);
+        });
+    if (HasFatalFailure()) return;
+  }
+}
+
+// max_bits 1..8 x lengths that divide (64) and do not divide (250: segment
+// sizes 15 and 16 at 16 segments) x segments {1, 4, 16}.
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, MindistTableTest,
+    ::testing::Combine(::testing::Range(1, kMaxSaxBits + 1),
+                       ::testing::Values(size_t{64}, size_t{250}),
+                       ::testing::Values(1, 4, 16)));
+
+struct ReferenceStats {
+  size_t leaves_inserted = 0;
+  size_t leaves_processed = 0;
+  size_t real_distances = 0;
+};
+
+/// QueryExecution's one-thread, one-batch, unbounded-queue algorithm
+/// (traverse every root in order, then pop the single queue), with every
+/// summary bound computed by the reference definitions instead of the
+/// execution's MindistTable. Seeds `knn` like SeedInitialBsf and checks
+/// that the approximate search's root fallback picks the reference's
+/// best root.
+ReferenceStats RunWithReferenceBounds(const Index& index,
+                                      const PreparedQuery& query,
+                                      const QueryOptions& options,
+                                      KnnSet* knn) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const IsaxConfig& config = index.config();
+  const IndexTree& tree = index.tree();
+  const size_t n = config.series_length();
+  const simd::KernelTable& kernels = simd::ActiveTable();
+  auto word_bound = [&](const IsaxWord& word) {
+    return options.use_dtw ? testing_utils::MindistEnvelopeToWord(
+                                 query.envelope_paa(), word, config)
+                           : testing_utils::MindistPaaToWord(query.paa(),
+                                                             word, config);
+  };
+  auto sax_bound = [&](const uint8_t* sax) {
+    return options.use_dtw ? testing_utils::MindistEnvelopeToSax(
+                                 query.envelope_paa(), sax, config)
+                           : testing_utils::MindistPaaToSax(query.paa(), sax,
+                                                            config);
+  };
+  auto threshold = [&] { return std::nextafter(knn->Threshold(), kInf); };
+
+  // Root fallback: the first root with the smallest PAA word bound.
+  if (tree.FindRoot(RootKey(query.sax(), config)) < 0) {
+    size_t best_root = 0;
+    float best = kInf;
+    for (size_t r = 0; r < tree.root_count(); ++r) {
+      const float lb =
+          testing_utils::MindistPaaToWord(query.paa(), tree.root(r)->word(),
+                                          config);
+      if (lb < best) {
+        best = lb;
+        best_root = r;
+      }
+    }
+    const TreeNode* leaf = ApproximateSearchLeaf(index, query);
+    EXPECT_TRUE(tree.root(best_root)->word().Matches(leaf->leaf_sax(0),
+                                                     config));
+  }
+  uint32_t approx_id = 0;
+  const float approx =
+      options.use_dtw ? ApproximateSearchSquaredDtw(index, query, &approx_id)
+                      : ApproximateSearchSquared(index, query, &approx_id);
+  knn->Offer(approx, approx_id);
+
+  ReferenceStats stats;
+  BoundedPq queue(0);
+  std::function<void(const TreeNode*)> traverse = [&](const TreeNode* node) {
+    if (node->subtree_size() == 0) return;
+    const float lb = word_bound(node->word());
+    if (lb >= threshold()) return;
+    if (node->is_leaf()) {
+      queue.Push({lb, node});
+      ++stats.leaves_inserted;
+      return;
+    }
+    traverse(node->left());
+    traverse(node->right());
+  };
+  for (size_t r = 0; r < tree.root_count(); ++r) traverse(tree.root(r));
+
+  while (!queue.empty()) {
+    const PqItem item = queue.Pop();
+    if (item.lower_bound >= threshold()) break;
+    ++stats.leaves_processed;
+    const TreeNode* leaf = item.leaf;
+    for (size_t i = 0; i < leaf->ids().size(); ++i) {
+      const float t = threshold();
+      if (sax_bound(leaf->leaf_sax(i)) >= t) continue;
+      const float* series = index.data().data(leaf->ids()[i]);
+      float d = 0.0f;
+      if (options.use_dtw) {
+        d = kernels.lb_keogh_early_abandon(query.envelope().upper.data(),
+                                           query.envelope().lower.data(),
+                                           series, n, t);
+        if (d < t) {
+          d = SquaredDtwEarlyAbandon(series, query.series(), n,
+                                     options.dtw_window, t);
+        }
+      } else {
+        d = kernels.squared_euclidean_early_abandon(query.series(), series,
+                                                    n, t);
+      }
+      ++stats.real_distances;
+      if (d < t) knn->Offer(d, leaf->ids()[i]);
+    }
+  }
+  return stats;
+}
+
+TEST(MindistTableTest, EngineStatsMatchReferenceBounds) {
+  // 250 points over 16 segments: unequal segment sizes. Near-duplicate
+  // queries hit their root key; unrelated walks exercise the fallback.
+  constexpr size_t kLength = 250;
+  IndexOptions index_options;
+  index_options.config = IsaxConfig(kLength, 16);
+  index_options.leaf_capacity = 32;
+  const SeriesCollection data = GenerateRandomWalk(1200, kLength, 513);
+  const Index index = Index::Build(data, index_options);
+  const SeriesCollection near = GenerateUniformQueries(data, 4, 0.5, 515);
+  const SeriesCollection unrelated = GenerateRandomWalk(4, kLength, 517);
+  const size_t window = WarpingWindowFromFraction(kLength, 0.05);
+
+  size_t fallbacks = 0;
+  for (const bool use_dtw : {false, true}) {
+    for (const int k : {1, 3}) {
+      for (const SeriesCollection* queries : {&near, &unrelated}) {
+        for (size_t q = 0; q < queries->size(); ++q) {
+          SCOPED_TRACE(::testing::Message()
+                       << (use_dtw ? "DTW" : "ED") << " k=" << k
+                       << (queries == &near ? " near " : " unrelated ")
+                       << q);
+          const PreparedQuery prepared = PreparedQuery::Prepare(
+              queries->data(q), index_options.config, use_dtw,
+              use_dtw ? window : 0);
+          if (index.tree().FindRoot(
+                  RootKey(prepared.sax(), index_options.config)) < 0) {
+            ++fallbacks;
+          }
+          QueryOptions options;
+          options.num_threads = 1;
+          options.k = k;
+          options.use_dtw = use_dtw;
+          options.dtw_window = use_dtw ? window : 0;
+          QueryExecution execution(&index, prepared, options);
+          execution.SeedInitialBsf();
+          execution.Run();
+          const QueryStats stats = execution.stats();
+          const std::vector<Neighbor> answers =
+              execution.results().SortedResults();
+
+          KnnSet reference_knn(k);
+          const ReferenceStats reference =
+              RunWithReferenceBounds(index, prepared, options, &reference_knn);
+          EXPECT_EQ(stats.leaves_inserted, reference.leaves_inserted);
+          EXPECT_EQ(stats.leaves_processed, reference.leaves_processed);
+          EXPECT_EQ(stats.real_distances, reference.real_distances);
+          const std::vector<Neighbor> reference_answers =
+              reference_knn.SortedResults();
+          ASSERT_EQ(answers.size(), reference_answers.size());
+          for (size_t i = 0; i < answers.size(); ++i) {
+            EXPECT_EQ(answers[i].id, reference_answers[i].id);
+            EXPECT_EQ(Bits(answers[i].squared_distance),
+                      Bits(reference_answers[i].squared_distance));
+          }
+
+          // And the answers are still exact.
+          const std::vector<Neighbor> exact =
+              use_dtw ? testing_utils::BruteForceKnnDtw(
+                            data, queries->data(q), k, window)
+                      : testing_utils::BruteForceKnn(data, queries->data(q),
+                                                     k);
+          ASSERT_EQ(answers.size(), exact.size());
+          for (size_t i = 0; i < exact.size(); ++i) {
+            EXPECT_TRUE(testing_utils::NearlyEqual(
+                answers[i].squared_distance, exact[i].squared_distance))
+                << "rank " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u) << "no query exercised the root fallback";
 }
 
 }  // namespace

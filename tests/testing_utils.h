@@ -10,6 +10,9 @@
 #include "src/distance/euclidean.h"
 #include "src/index/query_engine.h"
 #include "src/index/tree.h"
+#include "src/isax/breakpoints.h"
+#include "src/isax/isax_word.h"
+#include "src/isax/mindist.h"
 
 namespace odyssey {
 namespace testing_utils {
@@ -87,6 +90,96 @@ inline std::vector<Neighbor> BruteForceKnnDtw(const SeriesCollection& data,
   });
   if (all.size() > static_cast<size_t>(k)) all.resize(k);
   return all;
+}
+
+// Reference summary lower bounds: the direct per-segment definitions in
+// src/isax/mindist.h, one breakpoint-region lookup per segment. They are
+// the oracle MindistTable must reproduce bit for bit.
+
+/// Squared, count-weighted gap between value `q` and region [lo, hi].
+inline double SegmentGapSq(double q, double lo, double hi, size_t count) {
+  double gap = 0.0;
+  if (q < lo) {
+    gap = lo - q;
+  } else if (q > hi) {
+    gap = q - hi;
+  }
+  return static_cast<double>(count) * gap * gap;
+}
+
+/// Squared, count-weighted gap between the band [ql, qu] and region
+/// [lo, hi]: positive only when the intervals are disjoint.
+inline double BandGapSq(double ql, double qu, double lo, double hi,
+                        size_t count) {
+  double gap = 0.0;
+  if (lo > qu) {
+    gap = lo - qu;
+  } else if (hi < ql) {
+    gap = ql - hi;
+  }
+  return static_cast<double>(count) * gap * gap;
+}
+
+/// Reference ED bound to a variable-cardinality iSAX word.
+inline float MindistPaaToWord(const double* query_paa, const IsaxWord& word,
+                              const IsaxConfig& config) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  double sum = 0.0;
+  for (int i = 0; i < config.segments(); ++i) {
+    const int bits = word.bits[i];
+    const uint32_t symbol = word.symbols[i];
+    sum += SegmentGapSq(query_paa[i], table.RegionLower(bits, symbol),
+                        table.RegionUpper(bits, symbol),
+                        config.paa.SegmentCount(i));
+  }
+  return static_cast<float>(sum);
+}
+
+/// Reference ED bound to a full-cardinality SAX summary.
+inline float MindistPaaToSax(const double* query_paa, const uint8_t* sax,
+                             const IsaxConfig& config) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  const int bits = config.max_bits;
+  double sum = 0.0;
+  for (int i = 0; i < config.segments(); ++i) {
+    sum += SegmentGapSq(query_paa[i], table.RegionLower(bits, sax[i]),
+                        table.RegionUpper(bits, sax[i]),
+                        config.paa.SegmentCount(i));
+  }
+  return static_cast<float>(sum);
+}
+
+/// Reference DTW (envelope) bound to a variable-cardinality iSAX word.
+inline float MindistEnvelopeToWord(const EnvelopePaa& env_paa,
+                                   const IsaxWord& word,
+                                   const IsaxConfig& config) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  double sum = 0.0;
+  for (int i = 0; i < config.segments(); ++i) {
+    const int bits = word.bits[i];
+    const uint32_t symbol = word.symbols[i];
+    sum += BandGapSq(env_paa.lower[i], env_paa.upper[i],
+                     table.RegionLower(bits, symbol),
+                     table.RegionUpper(bits, symbol),
+                     config.paa.SegmentCount(i));
+  }
+  return static_cast<float>(sum);
+}
+
+/// Reference DTW (envelope) bound to a full-cardinality SAX summary.
+inline float MindistEnvelopeToSax(const EnvelopePaa& env_paa,
+                                  const uint8_t* sax,
+                                  const IsaxConfig& config) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  const int bits = config.max_bits;
+  double sum = 0.0;
+  for (int i = 0; i < config.segments(); ++i) {
+    sum += BandGapSq(env_paa.lower[i], env_paa.upper[i],
+                     table.RegionLower(bits, sax[i]),
+                     table.RegionUpper(bits, sax[i]),
+                     config.paa.SegmentCount(i));
+  }
+  return static_cast<float>(sum);
 }
 
 /// Relative FP tolerance for comparing squared distances computed by
