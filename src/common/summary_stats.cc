@@ -44,8 +44,6 @@ namespace {
 alignas(64) std::atomic<uint64_t> g_chunks_built{0};
 alignas(64) std::atomic<uint64_t> g_chunk_bytes{0};
 alignas(64) std::atomic<uint64_t> g_summaries_built{0};
-// Stored as nanoseconds so the accumulator stays a lock-free integer.
-alignas(64) std::atomic<uint64_t> g_overlap_nanos{0};
 
 }  // namespace
 
@@ -58,16 +56,11 @@ uint64_t ChunkBytes() {
 uint64_t SummariesBuilt() {
   return g_summaries_built.load(std::memory_order_relaxed);
 }
-double OverlapSeconds() {
-  return static_cast<double>(g_overlap_nanos.load(std::memory_order_relaxed)) *
-         1e-9;
-}
 
 void Reset() {
   g_chunks_built.store(0, std::memory_order_relaxed);
   g_chunk_bytes.store(0, std::memory_order_relaxed);
   g_summaries_built.store(0, std::memory_order_relaxed);
-  g_overlap_nanos.store(0, std::memory_order_relaxed);
 }
 
 void CountChunk(uint64_t bytes, uint64_t summaries) {
@@ -76,23 +69,15 @@ void CountChunk(uint64_t bytes, uint64_t summaries) {
   g_summaries_built.fetch_add(summaries, std::memory_order_relaxed);
 }
 
-void AddOverlapSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  g_overlap_nanos.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                            std::memory_order_relaxed);
-}
-
 }  // namespace build_stats
 
 namespace executor_stats {
 namespace {
 
 // Thread creation is rare (pools and persistent node threads, never the
-// query hot path — that is the point); the in-flight mark is updated once
-// per query admission. Own lines anyway, mirroring the other stat groups.
+// query hot path — that is the point). Own lines anyway, mirroring the
+// other stat groups.
 alignas(64) std::atomic<uint64_t> g_threads_spawned{0};
-alignas(64) std::atomic<uint64_t> g_inflight_hwm{0};
-alignas(64) std::atomic<uint64_t> g_prep_overlap_nanos{0};
 alignas(64) std::atomic<uint64_t> g_workers_pinned{0};
 alignas(64) std::atomic<uint64_t> g_chunks_placed{0};
 
@@ -100,14 +85,6 @@ alignas(64) std::atomic<uint64_t> g_chunks_placed{0};
 
 uint64_t ThreadsSpawned() {
   return g_threads_spawned.load(std::memory_order_relaxed);
-}
-uint64_t QueriesInFlightHwm() {
-  return g_inflight_hwm.load(std::memory_order_relaxed);
-}
-double PrepOverlapSeconds() {
-  return static_cast<double>(
-             g_prep_overlap_nanos.load(std::memory_order_relaxed)) *
-         1e-9;
 }
 uint64_t WorkersPinned() {
   return g_workers_pinned.load(std::memory_order_relaxed);
@@ -118,28 +95,12 @@ uint64_t ChunksPlaced() {
 
 void Reset() {
   g_threads_spawned.store(0, std::memory_order_relaxed);
-  g_inflight_hwm.store(0, std::memory_order_relaxed);
-  g_prep_overlap_nanos.store(0, std::memory_order_relaxed);
   g_workers_pinned.store(0, std::memory_order_relaxed);
   g_chunks_placed.store(0, std::memory_order_relaxed);
 }
 
 void CountThreadsSpawned(uint64_t n) {
   g_threads_spawned.fetch_add(n, std::memory_order_relaxed);
-}
-
-void RecordQueriesInFlight(uint64_t n) {
-  uint64_t current = g_inflight_hwm.load(std::memory_order_relaxed);
-  while (n > current &&
-         !g_inflight_hwm.compare_exchange_weak(current, n,
-                                               std::memory_order_relaxed)) {
-  }
-}
-
-void AddPrepOverlapSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  g_prep_overlap_nanos.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                                 std::memory_order_relaxed);
 }
 
 void CountWorkerPinned() {

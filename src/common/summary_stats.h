@@ -52,16 +52,12 @@ uint64_t ChunkBytes();
 /// Series summarized into bundles (PAA + SAX rows written). A cluster
 /// build summarizes each dataset series exactly once.
 uint64_t SummariesBuilt();
-/// Seconds the streaming build spent pulling chunk i+1 concurrently with
-/// summarizing/partitioning chunk i (the double-buffered overlap pipeline).
-double OverlapSeconds();
 
 /// Zeroes all counters (test setup).
 void Reset();
 
-/// Increment hooks, called by SharedChunk and the streaming driver.
+/// Increment hook, called by SharedChunk.
 void CountChunk(uint64_t bytes, uint64_t summaries);
-void AddOverlapSeconds(double seconds);
 
 }  // namespace build_stats
 
@@ -76,10 +72,8 @@ namespace executor_stats {
 /// workers, the persistent comms/main threads, the stream prep thread,
 /// build/adopt workers and the ingest prefetcher all count by construction,
 /// so tests can assert the count stays constant across batches regardless
-/// of query count. QueriesInFlightHwm() is the high-water mark of queries one node
-/// ran concurrently on its pool (AnswerStream's partitioned-pool
-/// admission); PrepOverlapSeconds() is query-preparation time that ran
-/// concurrently with execution (the online-admission overlap win).
+/// of query count. Per-batch executor numbers (in-flight high-water mark,
+/// preparation overlap) live in BatchReport, not here.
 ///
 /// Concurrency: every counter in this header is a relaxed atomic on its
 /// own cache line — no mutex, nothing for the thread-safety analysis to
@@ -88,8 +82,6 @@ namespace executor_stats {
 /// tests use them.
 
 uint64_t ThreadsSpawned();
-uint64_t QueriesInFlightHwm();
-double PrepOverlapSeconds();
 
 /// NUMA placement counters (src/common/numa.h). WorkersPinned() counts
 /// pool workers whose affinity the executor bound to their node's socket;
@@ -106,9 +98,6 @@ void Reset();
 /// Increment hook, called by CountedThread's constructor (the process's
 /// one sanctioned thread-spawn site).
 void CountThreadsSpawned(uint64_t n);
-/// Max-updates the in-flight high-water mark.
-void RecordQueriesInFlight(uint64_t n);
-void AddPrepOverlapSeconds(double seconds);
 /// NUMA placement hooks, called on successful binds only — by the
 /// executor's worker pinning (NodeRuntime::PinExecutorWorkers) and the
 /// driver's chunk-build-thread placement respectively.

@@ -1,8 +1,11 @@
 #include "src/core/driver.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -26,8 +29,13 @@ namespace {
 /// loop, fed one received message at a time.
 ///
 /// Detection: every message the coordinator receives from a node is a
-/// heartbeat; a node silent past the deadline (and not yet terminated) is
-/// declared dead. Recovery: the verdict is broadcast (kNodeDead) so steal
+/// heartbeat; a node silent past the deadline is declared dead. Terminated
+/// nodes stay watched (their comms thread keeps pinging until kShutdown):
+/// one killed after its kNodeTerminated would otherwise never be declared,
+/// and a peer whose steal request died in its closed mailbox would wait
+/// forever on that reply.
+///
+/// Recovery: the verdict is broadcast (kNodeDead) so steal
 /// victims re-run the RS-batches they had granted to the deceased and ack
 /// (kNodeDeadAck); every query dispatched to the dead node is
 /// re-executed wholesale by surviving members of its replication group
@@ -35,11 +43,13 @@ namespace {
 /// terminated or dead and no ack or recovery answer is outstanding; a
 /// final non-blocking drain then collects any answers a delay left behind.
 ///
-/// A false-positive verdict (slow-but-alive node) is exactness-safe: its
-/// transport stays open, it keeps answering, and the duplicate answers
-/// deduplicate in MergeAnswers — re-execution only ever *adds* candidate
-/// coverage. What is unrecoverable is every replica of a chunk dying:
-/// SurvivingMembers surfaces that as a FailedPrecondition status.
+/// A false-positive verdict (slow-but-alive node) is exactness-safe as long
+/// as the node is granted nothing after it: the answering loop drops its
+/// query requests and steal victims refuse it RS-batches. Its transport
+/// stays open, it keeps answering, and the duplicate answers deduplicate in
+/// MergeAnswers — re-execution only ever *adds* candidate coverage. What is
+/// unrecoverable is every replica of a chunk dying: SurvivingMembers
+/// surfaces that as a FailedPrecondition status.
 class CoordinatorRecovery {
  public:
   CoordinatorRecovery(const ReplicationLayout& layout, SimCluster* cluster,
@@ -97,14 +107,14 @@ class CoordinatorRecovery {
     }
   }
 
-  /// Checks every live, unterminated node against the deadline.
+  /// Checks every live node against the deadline.
   void Poll(const std::set<int>& terminated) {
     if (!enabled()) return;
     const double now = clock_.ElapsedSeconds();
     for (int n = 0; n < layout_.num_nodes(); ++n) {
-      if (dead_.count(n) != 0 || terminated.count(n) != 0) continue;
+      if (dead_.count(n) != 0) continue;
       if (now - last_heard_[static_cast<size_t>(n)] > timeout_seconds_) {
-        DeclareDead(n);
+        DeclareDead(n, terminated.count(n) != 0);
       }
     }
   }
@@ -119,7 +129,7 @@ class CoordinatorRecovery {
   }
 
  private:
-  void DeclareDead(int node) {
+  void DeclareDead(int node, bool terminated) {
     if (dead_.count(node) != 0) return;
     dead_.insert(node);
     fault_stats::CountNodeDeclaredDead();
@@ -162,8 +172,11 @@ class CoordinatorRecovery {
     auto survivors = layout_.SurvivingMembers(layout_.GroupOf(node), dead_);
     if (!survivors.ok()) {
       // Chunk coverage is gone; surface the error instead of merging a
-      // silently partial answer. No reassignment target exists.
-      status_ = survivors.status();
+      // silently partial answer. No reassignment target exists. A node
+      // that terminated first has delivered every answer, and with no
+      // live group member left nobody can still be owed a steal reply by
+      // it, so nothing is missing.
+      if (!terminated) status_ = survivors.status();
       return;
     }
     // Re-execute *everything* dispatched to the deceased — even queries it
@@ -172,9 +185,10 @@ class CoordinatorRecovery {
     // steal reply got out, in which case those batches ran nowhere and its
     // delivered answer silently lacks them. Re-running answered queries
     // only adds duplicate candidates (MergeAnswers dedups); skipping one
-    // loses coverage. (A node that *terminated* needs none of this: a
-    // delivered kNodeTerminated proves every earlier send — all its
-    // answers and steal replies — was delivered too.)
+    // loses coverage. That holds for a node that terminated first, too:
+    // its peers now write off what they are owed by it, and on a false
+    // verdict a batch-carrying steal reply still held in a thief's
+    // mailbox would be written off with them.
     std::set<int> to_recover(orphaned.begin(), orphaned.end());
     for (int q : dispatched_[node]) to_recover.insert(q);
     for (int q : to_recover) {
@@ -206,14 +220,200 @@ class CoordinatorRecovery {
   int rr_ = 0;  // round-robin cursor over survivors
 };
 
-}  // namespace
+/// The coordinator's answering loop (Figure 3; DQS and PREDICT-DN in
+/// Section 3.1), shared by AnswerBatch and AnswerStream: a batch is a
+/// stream whose queries have all arrived. It owns the per-group dispatch
+/// queues, the parked dynamic requests, the assignment fence, the candidate
+/// buckets and the set of terminated nodes, and it feeds every received
+/// message to the recovery bookkeeping. Single-threaded, on the caller's
+/// thread.
+class AnswerLoop {
+ public:
+  AnswerLoop(const ReplicationLayout& layout, SimCluster* cluster,
+             CoordinatorRecovery* recovery, int num_queries)
+      : layout_(layout),
+        cluster_(cluster),
+        recovery_(recovery),
+        num_queries_(num_queries),
+        dispatch_(static_cast<size_t>(layout.num_groups())),
+        parked_(static_cast<size_t>(layout.num_groups())),
+        assigns_sent_(static_cast<size_t>(layout.num_nodes()), 0),
+        answers_remaining_(static_cast<size_t>(num_queries),
+                           layout.num_groups()),
+        candidates_(static_cast<size_t>(num_queries)) {}
 
-int DefaultBatchMaxInflight() {
-  const char* env = std::getenv("ODYSSEY_BATCH_INFLIGHT");
-  if (env == nullptr || *env == '\0') return 0;  // auto
-  const int value = std::atoi(env);
-  return value > 0 ? value : 0;
-}
+  /// Static scheduling: sends `query_id` to `node` up front.
+  void Assign(int node, int query_id) {
+    Message m;
+    m.type = MessageType::kAssignQuery;
+    m.from = cluster_->coordinator_id();
+    m.query_id = query_id;
+    cluster_->Send(node, std::move(m));
+    ++assigns_sent_[static_cast<size_t>(node)];
+    recovery_->OnDispatch(node, query_id);
+  }
+
+  /// Static scheduling: ends `node`'s share with a fenced kNoMoreQueries.
+  void CloseShare(int node) {
+    Message m;
+    m.type = MessageType::kNoMoreQueries;
+    m.from = cluster_->coordinator_id();
+    m.assign_count = assigns_sent_[static_cast<size_t>(node)];
+    cluster_->Send(node, std::move(m));
+  }
+
+  /// Dynamic scheduling of a batch: `group` hands out `order` on request.
+  void Enqueue(int group, const std::vector<int>& order) {
+    dispatch_[static_cast<size_t>(group)].assign(order.begin(), order.end());
+  }
+
+  /// Released queries still owed a local answer by some group (steal-split
+  /// extras are capped by the per-query floor). The stream's prep thread
+  /// samples it to count only preparation that overlapped execution.
+  const std::atomic<int>& executing() const { return executing_; }
+
+  /// Serves requests and collects answers until the recovery bookkeeping
+  /// says the batch has quiesced, then returns every query's candidates.
+  /// With `admitted` null every query was scheduled before the call (a
+  /// batch); otherwise `admitted()` is how many queries have arrived, and
+  /// each one is released to every group's queue as it arrives (a stream).
+  std::vector<std::vector<Neighbor>> Run(
+      const std::function<size_t()>& admitted) {
+    if (admitted == nullptr) {
+      released_ = num_queries_;
+      executing_.store(num_queries_, std::memory_order_release);
+    }
+    Mailbox& mailbox = cluster_->mailbox(cluster_->coordinator_id());
+    while (!recovery_->Quiesced(terminated_)) {
+      // Release every query the prep thread has admitted (admission implies
+      // its arrival time has passed). The admitted() acquire pairs with the
+      // Admit fetch_add, so a released slot's summaries are visible to every
+      // node the dispatch message reaches.
+      while (released_ < num_queries_ &&
+             static_cast<size_t>(released_) < admitted()) {
+        for (std::deque<int>& queue : dispatch_) queue.push_back(released_);
+        ++released_;
+        executing_.fetch_add(1, std::memory_order_acq_rel);
+        for (int g = 0; g < layout_.num_groups(); ++g) Serve(g);
+      }
+      Message m;
+      bool got = false;
+      if (released_ < num_queries_) {
+        // Arrivals are pending: wake often enough to release them.
+        got = mailbox.ReceiveFor(std::chrono::microseconds(200), &m);
+      } else if (recovery_->enabled()) {
+        // Poll so liveness deadlines fire even while no traffic arrives
+        // (the failure mode that needs them most).
+        got = mailbox.ReceiveFor(std::chrono::microseconds(2000), &m);
+      } else {
+        got = mailbox.Receive(&m);
+        if (!got) break;  // coordinator mailbox closed: defensive, never faulted
+      }
+      if (got) Handle(m);
+      recovery_->Poll(terminated_);
+      // A death verdict may have voided parked requests.
+      if (recovery_->enabled()) {
+        for (int g = 0; g < layout_.num_groups(); ++g) Serve(g);
+      }
+    }
+    return std::move(candidates_);
+  }
+
+ private:
+  void Handle(const Message& m) {
+    recovery_->OnMessage(m);
+    switch (m.type) {
+      case MessageType::kQueryRequest:
+        parked_[static_cast<size_t>(layout_.GroupOf(m.from))].push_back(
+            m.from);
+        Serve(layout_.GroupOf(m.from));
+        break;
+      case MessageType::kLocalAnswer: {
+        std::vector<Neighbor>& bucket =
+            candidates_[static_cast<size_t>(m.query_id)];
+        bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
+        int& remaining = answers_remaining_[static_cast<size_t>(m.query_id)];
+        if (remaining > 0 && --remaining == 0) {
+          executing_.fetch_sub(1, std::memory_order_acq_rel);
+        }
+        break;
+      }
+      case MessageType::kNodeTerminated:
+        terminated_.insert(m.from);
+        break;
+      case MessageType::kAssignQuery:
+      case MessageType::kNoMoreQueries:
+      case MessageType::kBsfUpdate:
+      case MessageType::kDone:
+      case MessageType::kStealRequest:
+      case MessageType::kStealReply:
+      case MessageType::kShutdown:
+      case MessageType::kNodeDead:
+      case MessageType::kNodeDeadAck:
+      case MessageType::kRecoverQuery:
+      case MessageType::kHeartbeat:
+        break;  // node-bound traffic (e.g. kDone copies) is informational
+    }
+  }
+
+  /// Answers `group`'s parked requests in arrival order: the next query
+  /// in the group's queue, or a fenced kNoMoreQueries once every query is
+  /// released and the queue is empty. A request that finds the queue empty
+  /// while queries are still to arrive stays parked.
+  void Serve(int group) {
+    std::deque<int>& parked = parked_[static_cast<size_t>(group)];
+    std::deque<int>& queue = dispatch_[static_cast<size_t>(group)];
+    while (!parked.empty()) {
+      const int node = parked.front();
+      if (recovery_->IsDead(node)) {
+        // A declared-dead node's request is void, true verdict or not:
+        // its dispatched queries were already handed to survivors, so a
+        // query granted now would be neither re-executed nor awaited.
+        // Drop the request without consuming a queue entry.
+        parked.pop_front();
+        continue;
+      }
+      Message reply;
+      reply.from = cluster_->coordinator_id();
+      if (!queue.empty()) {
+        reply.type = MessageType::kAssignQuery;
+        reply.query_id = queue.front();
+        queue.pop_front();
+        ++assigns_sent_[static_cast<size_t>(node)];
+        recovery_->OnDispatch(node, reply.query_id);
+      } else if (released_ == num_queries_) {
+        reply.type = MessageType::kNoMoreQueries;
+        reply.assign_count = assigns_sent_[static_cast<size_t>(node)];
+      } else {
+        return;  // wait for the next admission
+      }
+      parked.pop_front();
+      cluster_->Send(node, std::move(reply));
+    }
+  }
+
+  const ReplicationLayout& layout_;
+  SimCluster* const cluster_;
+  CoordinatorRecovery* const recovery_;
+  const int num_queries_;
+  int released_ = 0;
+  std::vector<std::deque<int>> dispatch_;
+  std::vector<std::deque<int>> parked_;
+  /// Assignment fence (Message::assign_count): per-node count of distinct
+  /// kAssignQuery sends, stamped on every kNoMoreQueries so a node can tell
+  /// a marker that overtook a delayed assignment from one that really is
+  /// the end of its share.
+  std::vector<int> assigns_sent_;
+  /// Each query owes one local answer per replication group.
+  std::vector<int> answers_remaining_;
+  std::atomic<int> executing_{0};
+  std::vector<std::vector<Neighbor>> candidates_;
+  /// A duplicated kNodeTerminated (fault injection) must not double-count,
+  /// so terminations are a set, not a counter.
+  std::set<int> terminated_;
+};
+
+}  // namespace
 
 QueryAnswer MergeAnswers(const std::vector<Neighbor>& candidates, int k) {
   // Deduplicate by global id, keeping each series' best distance, then take
@@ -367,7 +567,6 @@ StatusOr<std::unique_ptr<OdysseyCluster>> OdysseyCluster::IngestAndBuild(
     ingest_seconds = prefetcher.pull_seconds();
     overlap_seconds = prefetcher.overlap_seconds();
   }
-  build_stats::AddOverlapSeconds(overlap_seconds);
   if (chunk_index == 0) {
     return Status::InvalidArgument("archive is empty: " + source.path());
   }
@@ -514,13 +713,10 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   SimCluster cluster(layout_.num_nodes(),
                      options_.fault_plan.active() ? &injector : nullptr);
 
-  // Admission depth: up to a pool's width of statically-delivered queries
-  // by default; stolen work charges the same in-flight budget.
+  // Admission depth: a pool's width of queries; stolen work charges the
+  // same in-flight budget.
   const NodeBatchOptions node_options = MakeNodeOptions(
-      options_.scheduling,
-      options_.batch_max_inflight > 0
-          ? options_.batch_max_inflight
-          : std::max(1, options_.query_options.num_threads));
+      options_.scheduling, std::max(1, options_.query_options.num_threads));
 
   Stopwatch batch_watch;
   double prepare_seconds = 0.0;
@@ -530,6 +726,7 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   // nodes' epochs, not with the driver-side summarization work.
   CoordinatorRecovery recovery(layout_, &cluster,
                                options_.liveness_timeout_seconds);
+  AnswerLoop loop(layout_, &cluster, &recovery, num_queries);
 
   for (auto& node : nodes_) {
     node->StartBatch(&cluster, &prepared, node_options);
@@ -543,7 +740,6 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
   // on the coordinator's persistent pool, one group at a time (on the real
   // system each group coordinator estimates on its own node's workers).
   Stopwatch scheduling_watch;
-  const bool dynamic = PolicyIsDynamic(options_.scheduling);
   std::vector<std::vector<double>> group_estimates(layout_.num_groups());
   if (PolicyNeedsPredictions(options_.scheduling) &&
       layout_.replication_degree() > 1) {
@@ -551,13 +747,6 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
       group_estimates[g] = EstimateGroupQueries(g, prepared);
     }
   }
-  // Dynamic dispatch queues, per group.
-  std::vector<std::deque<int>> dispatch(layout_.num_groups());
-  // Assignment fence (Message::assign_count): per-node count of distinct
-  // kAssignQuery sends, stamped on every kNoMoreQueries so a node can tell
-  // a marker that overtook a delayed assignment from one that really is
-  // the end of its share.
-  std::vector<int> assigns_sent(static_cast<size_t>(layout_.num_nodes()), 0);
   for (int g = 0; g < layout_.num_groups(); ++g) {
     const std::vector<int> members = layout_.GroupMembers(g);
     const std::vector<double>& estimates = group_estimates[g];
@@ -568,124 +757,35 @@ BatchReport OdysseyCluster::AnswerBatch(const SeriesCollection& queries) {
                                              : SchedulingPolicy::kStatic;
     }
     switch (effective) {
-      case SchedulingPolicy::kStatic: {
-        const auto assignment =
-            StaticSplit(num_queries, static_cast<int>(members.size()));
-        for (size_t w = 0; w < members.size(); ++w) {
-          for (int q : assignment[w]) {
-            Message m;
-            m.type = MessageType::kAssignQuery;
-            m.from = cluster.coordinator_id();
-            m.query_id = q;
-            cluster.Send(members[w], std::move(m));
-            ++assigns_sent[static_cast<size_t>(members[w])];
-            recovery.OnDispatch(members[w], q);
-          }
-        }
-        break;
-      }
+      case SchedulingPolicy::kStatic:
       case SchedulingPolicy::kPredictStaticUnsorted:
       case SchedulingPolicy::kPredictStatic: {
-        const bool sorted = effective == SchedulingPolicy::kPredictStatic;
-        const auto assignment = PredictionGreedySplit(
-            estimates, static_cast<int>(members.size()), sorted);
+        const int workers = static_cast<int>(members.size());
+        const auto assignment =
+            effective == SchedulingPolicy::kStatic
+                ? StaticSplit(num_queries, workers)
+                : PredictionGreedySplit(
+                      estimates, workers,
+                      effective == SchedulingPolicy::kPredictStatic);
         for (size_t w = 0; w < members.size(); ++w) {
-          for (int q : assignment[w]) {
-            Message m;
-            m.type = MessageType::kAssignQuery;
-            m.from = cluster.coordinator_id();
-            m.query_id = q;
-            cluster.Send(members[w], std::move(m));
-            ++assigns_sent[static_cast<size_t>(members[w])];
-            recovery.OnDispatch(members[w], q);
-          }
+          for (int q : assignment[w]) loop.Assign(members[w], q);
         }
+        for (int member : members) loop.CloseShare(member);
         break;
       }
       case SchedulingPolicy::kDynamic:
-      case SchedulingPolicy::kPredictDynamic: {
-        const bool sorted = effective == SchedulingPolicy::kPredictDynamic;
-        const std::vector<int> order =
-            DynamicDispatchOrder(estimates, num_queries, sorted);
-        dispatch[g].assign(order.begin(), order.end());
+      case SchedulingPolicy::kPredictDynamic:
+        loop.Enqueue(g, DynamicDispatchOrder(
+                            estimates, num_queries,
+                            effective == SchedulingPolicy::kPredictDynamic));
         break;
-      }
-    }
-    if (!dynamic) {
-      for (int member : members) {
-        Message m;
-        m.type = MessageType::kNoMoreQueries;
-        m.from = cluster.coordinator_id();
-        m.assign_count = assigns_sent[static_cast<size_t>(member)];
-        cluster.Send(member, std::move(m));
-      }
     }
   }
   const double scheduling_seconds = scheduling_watch.ElapsedSeconds();
 
   // Stage 4-5: serve dynamic requests, collect local answers, and wait for
   // every node to finish its work-stealing phase.
-  std::vector<std::vector<Neighbor>> candidates(num_queries);
-  // A duplicated kNodeTerminated (fault injection) must not double-count,
-  // so terminations are a set, not a counter.
-  std::set<int> terminated;
-  while (!recovery.Quiesced(terminated)) {
-    Message m;
-    bool got;
-    if (recovery.enabled()) {
-      // Poll with a short timeout so liveness deadlines fire even while no
-      // traffic arrives (the failure mode that needs them most).
-      got = cluster.mailbox(cluster.coordinator_id())
-                .ReceiveFor(std::chrono::microseconds(2000), &m);
-    } else {
-      got = cluster.mailbox(cluster.coordinator_id()).Receive(&m);
-      if (!got) break;  // coordinator mailbox closed: defensive, never faulted
-    }
-    if (got) {
-      recovery.OnMessage(m);
-      switch (m.type) {
-        case MessageType::kQueryRequest: {
-          std::deque<int>& queue = dispatch[layout_.GroupOf(m.from)];
-          Message reply;
-          reply.from = cluster.coordinator_id();
-          if (queue.empty()) {
-            reply.type = MessageType::kNoMoreQueries;
-            reply.assign_count = assigns_sent[static_cast<size_t>(m.from)];
-          } else {
-            reply.type = MessageType::kAssignQuery;
-            reply.query_id = queue.front();
-            queue.pop_front();
-            ++assigns_sent[static_cast<size_t>(m.from)];
-            recovery.OnDispatch(m.from, reply.query_id);
-          }
-          cluster.Send(m.from, std::move(reply));
-          break;
-        }
-        case MessageType::kLocalAnswer: {
-          std::vector<Neighbor>& bucket = candidates[m.query_id];
-          bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
-          break;
-        }
-        case MessageType::kNodeTerminated:
-          terminated.insert(m.from);
-          break;
-        case MessageType::kAssignQuery:
-        case MessageType::kNoMoreQueries:
-        case MessageType::kBsfUpdate:
-        case MessageType::kDone:
-        case MessageType::kStealRequest:
-        case MessageType::kStealReply:
-        case MessageType::kShutdown:
-        case MessageType::kNodeDead:
-        case MessageType::kNodeDeadAck:
-        case MessageType::kRecoverQuery:
-        case MessageType::kHeartbeat:
-          break;  // node-bound traffic (e.g. kDone copies) is informational
-      }
-    }
-    recovery.Poll(terminated);
-  }
-
+  std::vector<std::vector<Neighbor>> candidates = loop.Run(nullptr);
   BatchReport report =
       FinishBatch(&cluster, recovery.status(), recovery.dead(), batch_watch,
                   std::move(candidates));
@@ -710,6 +810,7 @@ BatchReport OdysseyCluster::AnswerStream(
                      options_.fault_plan.active() ? &injector : nullptr);
   CoordinatorRecovery recovery(layout_, &cluster,
                                options_.liveness_timeout_seconds);
+  AnswerLoop loop(layout_, &cluster, &recovery, num_queries);
 
   // Streaming always dispatches dynamically: a query cannot be assigned (or
   // sorted by estimate) before it exists. A node with idle workers runs
@@ -720,10 +821,10 @@ BatchReport OdysseyCluster::AnswerStream(
 
   // Online admission: slots are allocated up front, but each query is
   // summarized by the prep thread at its modeled arrival time — while the
-  // nodes execute earlier arrivals — and dispatched the moment it is
-  // admitted. Preparation therefore overlaps execution instead of
-  // front-loading the whole stream's summarization (the ROADMAP's
-  // streaming-prepare item; prep_overlap_seconds observes the win).
+  // nodes execute earlier arrivals — and released by the answering loop
+  // the moment it is admitted. Preparation therefore overlaps execution
+  // instead of front-loading the whole stream's summarization
+  // (prep_overlap_seconds observes the win).
   PreparedBatch prepared = PreparedBatch::Allocate(queries.size());
 
   for (auto& node : nodes_) {
@@ -737,11 +838,7 @@ BatchReport OdysseyCluster::AnswerStream(
   const QueryOptions& qo = options_.query_options;
   double prepare_seconds = 0.0;
   double prep_overlap_seconds = 0.0;
-  // Released queries whose answers are still outstanding (each query owes
-  // one local answer per replication group; steal-split extras are capped
-  // by the remaining-counter floor). The prep thread samples this gauge to
-  // count only preparation that genuinely ran while something executed.
-  std::atomic<int> executing_queries{0};
+  const std::atomic<int>& executing_queries = loop.executing();
   CountedThread prep([&] {
     Stopwatch prep_watch;
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -768,104 +865,8 @@ BatchReport OdysseyCluster::AnswerStream(
     }
   });
 
-  // Per-group released-query queues and parked dynamic requests: a request
-  // that finds the queue empty while more queries are still to arrive is
-  // deferred until the next admission.
-  std::vector<std::deque<int>> dispatch(layout_.num_groups());
-  std::vector<std::deque<int>> parked(layout_.num_groups());
-  int released = 0;
-  std::vector<int> answers_remaining(num_queries, layout_.num_groups());
-  // Assignment fence — see AnswerBatch.
-  std::vector<int> assigns_sent(static_cast<size_t>(layout_.num_nodes()), 0);
-
-  std::vector<std::vector<Neighbor>> candidates(num_queries);
-  std::set<int> terminated;
-
-  auto serve = [&](int group) {
-    while (!parked[group].empty()) {
-      const int node = parked[group].front();
-      if (recovery.IsDead(node)) {
-        // A dead node's parked request is void: drop the request without
-        // consuming a dispatch-queue entry, so the query goes to a
-        // survivor's next request instead.
-        parked[group].pop_front();
-        continue;
-      }
-      std::deque<int>& queue = dispatch[group];
-      Message reply;
-      reply.from = cluster.coordinator_id();
-      if (!queue.empty()) {
-        reply.type = MessageType::kAssignQuery;
-        reply.query_id = queue.front();
-        queue.pop_front();
-        ++assigns_sent[static_cast<size_t>(node)];
-        recovery.OnDispatch(node, reply.query_id);
-      } else if (released == num_queries) {
-        reply.type = MessageType::kNoMoreQueries;
-        reply.assign_count = assigns_sent[static_cast<size_t>(node)];
-      } else {
-        return;  // wait for the next admission
-      }
-      parked[group].pop_front();
-      cluster.Send(node, std::move(reply));
-    }
-  };
-
-  while (!recovery.Quiesced(terminated)) {
-    // Release every query the prep thread has admitted (admission implies
-    // its arrival time has passed). The admitted() acquire pairs with the
-    // Admit fetch_add, so a released slot's summaries are visible to every
-    // node the dispatch message reaches.
-    while (released < num_queries &&
-           static_cast<size_t>(released) < prepared.admitted()) {
-      for (int g = 0; g < layout_.num_groups(); ++g) {
-        dispatch[g].push_back(released);
-      }
-      ++released;
-      executing_queries.fetch_add(1, std::memory_order_acq_rel);
-      for (int g = 0; g < layout_.num_groups(); ++g) serve(g);
-    }
-    Message m;
-    if (cluster.mailbox(cluster.coordinator_id())
-            .ReceiveFor(std::chrono::microseconds(200), &m)) {
-      recovery.OnMessage(m);
-      switch (m.type) {
-        case MessageType::kQueryRequest:
-          parked[layout_.GroupOf(m.from)].push_back(m.from);
-          serve(layout_.GroupOf(m.from));
-          break;
-        case MessageType::kLocalAnswer: {
-          std::vector<Neighbor>& bucket = candidates[m.query_id];
-          bucket.insert(bucket.end(), m.neighbors.begin(), m.neighbors.end());
-          if (answers_remaining[m.query_id] > 0 &&
-              --answers_remaining[m.query_id] == 0) {
-            executing_queries.fetch_sub(1, std::memory_order_acq_rel);
-          }
-          break;
-        }
-        case MessageType::kNodeTerminated:
-          terminated.insert(m.from);
-          break;
-        case MessageType::kAssignQuery:
-        case MessageType::kNoMoreQueries:
-        case MessageType::kBsfUpdate:
-        case MessageType::kDone:
-        case MessageType::kStealRequest:
-        case MessageType::kStealReply:
-        case MessageType::kShutdown:
-        case MessageType::kNodeDead:
-        case MessageType::kNodeDeadAck:
-        case MessageType::kRecoverQuery:
-        case MessageType::kHeartbeat:
-          break;  // node-bound traffic is informational to the coordinator
-      }
-    }
-    recovery.Poll(terminated);
-    // A death verdict may have freed parked requests for reassignment.
-    if (recovery.enabled()) {
-      for (int g = 0; g < layout_.num_groups(); ++g) serve(g);
-    }
-  }
+  std::vector<std::vector<Neighbor>> candidates =
+      loop.Run([&prepared] { return prepared.admitted(); });
   // Termination of every node implies all queries were dispatched, so the
   // prep thread has already run to completion.
   prep.Join();
@@ -877,7 +878,6 @@ BatchReport OdysseyCluster::AnswerStream(
                   std::move(candidates));
   report.prepare_seconds = prepare_seconds;
   report.prep_overlap_seconds = prep_overlap_seconds;
-  executor_stats::AddPrepOverlapSeconds(prep_overlap_seconds);
   return report;
 }
 

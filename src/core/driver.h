@@ -26,12 +26,6 @@
 
 namespace odyssey {
 
-/// Default for OdysseyOptions::batch_max_inflight, read once per call from
-/// the ODYSSEY_BATCH_INFLIGHT environment variable (a positive integer).
-/// Returns 0 — auto — when the variable is unset, empty or not a positive
-/// number. Explicit assignment to the option always wins.
-int DefaultBatchMaxInflight();
-
 /// Everything that configures one Odyssey deployment (Figure 3).
 struct OdysseyOptions {
   /// Cluster shape: PARTIAL-num_groups over num_nodes nodes. num_groups = 1
@@ -60,14 +54,10 @@ struct OdysseyOptions {
   /// AnswerStream only: max queries one node runs concurrently on its pool
   /// (its in-flight admission depth). With > 1 a node whose workers are
   /// idle starts the next admitted query instead of strictly serializing.
-  /// AnswerBatch has its own depth (batch_max_inflight below); on both
-  /// paths, admitted queries and stolen work charge the same per-node
-  /// in-flight budget.
+  /// AnswerBatch admits up to the pool width (query_options.num_threads);
+  /// on both paths, admitted queries and stolen work charge the same
+  /// per-node in-flight budget.
   int stream_max_inflight = 2;
-  /// AnswerBatch: max queries one node runs concurrently on its pool. 0
-  /// means auto — the pool width (query_options.num_threads). Default: the
-  /// ODYSSEY_BATCH_INFLIGHT environment variable, else auto.
-  int batch_max_inflight = DefaultBatchMaxInflight();
   /// Optional models (owned by the caller, must outlive the cluster).
   const CostModel* cost_model = nullptr;
   const ThresholdModel* threshold_model = nullptr;
@@ -85,7 +75,8 @@ struct OdysseyOptions {
   /// re-executed by surviving group members (kRecoverQuery). 0 disables
   /// detection — required for plans that kill a node, since a dead node's
   /// kNodeTerminated never comes. False-positive declarations are
-  /// exactness-safe (duplicate answers deduplicate in MergeAnswers), which
+  /// exactness-safe: a declared node is granted no further queries or
+  /// RS-batches, and its extra answers deduplicate in MergeAnswers. That
   /// is what makes aggressive deadlines usable in tests.
   double liveness_timeout_seconds = 0.0;
 
@@ -116,7 +107,7 @@ struct BatchReport {
   /// is a serial pre-step).
   double prep_overlap_seconds = 0.0;
   /// Highest number of queries any single node ran concurrently on its
-  /// pool (bounded by the path's admission depth: batch_max_inflight for
+  /// pool (bounded by the path's admission depth: the pool width for
   /// AnswerBatch, stream_max_inflight for streams; stolen-work runs charge
   /// the same budget).
   int queries_in_flight_hwm = 0;

@@ -333,7 +333,7 @@ void NodeRuntime::CommsLoop() {
         HandleNodeDead(m.subject);
         break;
       case MessageType::kRecoverQuery:
-        ExecuteRecoveryQuery(m.query_id);
+        Execute(RunKind::kRecovery, m.query_id);
         break;
       case MessageType::kQueryRequest:
       case MessageType::kLocalAnswer:
@@ -362,15 +362,10 @@ void NodeRuntime::HandleNodeDead(int subject) {
   uint64_t reassigned = 0;
   for (StealGrant& grant : steal_grants_) {
     if (grant.thief != subject || grant.batch_ids.empty()) continue;
-    Message replay;
-    replay.type = MessageType::kStealReply;
-    replay.from = id_;
-    replay.query_id = grant.query_id;
-    replay.bsf = bsf_board_[grant.query_id].load(std::memory_order_acquire);
-    replay.batch_ids = grant.batch_ids;
-    reassigned += grant.batch_ids.size();
-    grant.batch_ids.clear();  // never re-run twice
-    RunStolenWork(replay);
+    std::vector<int> batch_ids;
+    batch_ids.swap(grant.batch_ids);  // never re-run twice
+    reassigned += batch_ids.size();
+    Execute(RunKind::kStolen, grant.query_id, batch_ids);
   }
   if (reassigned > 0) fault_stats::CountBatchesReassigned(reassigned);
   Message ack;
@@ -378,31 +373,6 @@ void NodeRuntime::HandleNodeDead(int subject) {
   ack.from = id_;
   ack.subject = subject;
   cluster_->Send(cluster_->coordinator_id(), std::move(ack));
-}
-
-void NodeRuntime::ExecuteRecoveryQuery(int query_id) {
-  Stopwatch watch;
-  // Share the BSF cell (stolen work may have already tightened it) but do
-  // not broadcast improvements: the group is terminating and the cells die
-  // with the batch — correctness never depends on BSF sharing.
-  std::atomic<float>* cell =
-      options_.share_bsf ? &bsf_board_[query_id] : nullptr;
-  QueryExecution exec(index_.get(), queries_->query(query_id),
-                      options_.query_options, cell, nullptr);
-  const float initial_bsf = exec.SeedInitialBsf();
-  if (options_.threshold_model != nullptr &&
-      options_.threshold_model->calibrated()) {
-    exec.set_queue_threshold(
-        options_.threshold_model->PredictThreshold(initial_bsf));
-  }
-  exec.Run(workers_.get());
-  SendLocalAnswer(query_id, exec.results().SortedResults(),
-                  /*recovery=*/true);
-  {
-    MutexLock lock(&stats_mu_);
-    ++batch_stats_.queries_executed;
-    batch_stats_.busy_seconds += watch.ElapsedSeconds();
-  }
 }
 
 void NodeRuntime::HandleStealRequest(int thief, int steal_seq) {
@@ -428,7 +398,16 @@ void NodeRuntime::HandleStealRequest(int thief, int steal_seq) {
   reply.type = MessageType::kStealReply;
   reply.from = id_;
   reply.steal_seq = steal_seq;  // retire exactly the request we answer
-  if (options_.worksteal.enabled) {
+  // A thief the coordinator declared dead gets an empty reply, true
+  // verdict or not: HandleNodeDead already replayed what it was granted,
+  // and the coordinator no longer waits for its answers, so batches
+  // granted now would be neither re-run nor merged.
+  bool thief_dead = false;
+  {
+    MutexLock lock(&state_mu_);
+    thief_dead = dead_nodes_.count(thief) != 0;
+  }
+  if (options_.worksteal.enabled && !thief_dead) {
     MutexLock lock(&exec_mu_);
     for (auto& [query_id, exec] : running_execs_) {
       std::vector<int> ids = exec->StealBatches(options_.worksteal.nsend);
@@ -477,46 +456,22 @@ int NodeRuntime::NextQuery() {
 }
 
 void NodeRuntime::MainLoop() {
-  // Algorithm 1: answer assigned queries — one at a time in the paper's
-  // batch model, or up to max_inflight concurrently on the pool when the
-  // streaming path admits queries faster than they finish...
-  const int max_inflight = std::max(1, options_.max_inflight);
-  const bool concurrent = max_inflight > 1;
-  std::unique_ptr<TaskGroup> inflight_group;
-  if (concurrent) inflight_group = std::make_unique<TaskGroup>(workers_.get());
+  // Algorithm 1: answer assigned queries, up to max_inflight at a time on
+  // the pool — one at a time in the paper's batch model, several when the
+  // node's workers can run admitted queries side by side. The next query
+  // is requested before a slot frees, so it starts the moment one does
+  // instead of after a coordinator round trip...
+  TaskGroup inflight_group(workers_.get());
   for (;;) {
     const int qid = NextQuery();
     if (qid < 0) break;
-    if (!concurrent) {
-      ExecuteQuery(qid);
-      continue;
-    }
-    {
-      // Admission control: claim an in-flight slot before asking the
-      // coordinator for more work.
-      MutexLock lock(&inflight_mu_);
-      while (inflight_ >= max_inflight) inflight_cv_.Wait(&inflight_mu_);
-      ++inflight_;
-      {
-        MutexLock stats(&stats_mu_);
-        batch_stats_.inflight_hwm =
-            std::max(batch_stats_.inflight_hwm, inflight_);
-      }
-      executor_stats::RecordQueriesInFlight(static_cast<uint64_t>(inflight_));
-    }
-    inflight_group->Submit([this, qid] {
-      ExecuteQuery(qid);
-      MutexLock lock(&inflight_mu_);
-      --inflight_;
-      inflight_cv_.SignalAll();
+    AcquireSlot();
+    inflight_group.Submit([this, qid] {
+      Execute(RunKind::kOwn, qid);
+      ReleaseSlot();
     });
   }
-  if (inflight_group != nullptr) inflight_group->Wait();
-  {
-    MutexLock stats(&stats_mu_);
-    batch_stats_.inflight_hwm = std::max(batch_stats_.inflight_hwm,
-                                         batch_stats_.queries_executed > 0 ? 1 : 0);
-  }
+  inflight_group.Wait();
   // ... then announce completion to every node and start stealing. A node
   // whose transport was closed (killed mid-batch) exits the epoch quietly
   // instead: a dead host announces nothing, and the coordinator's liveness
@@ -544,12 +499,37 @@ void NodeRuntime::MainLoop() {
   cluster_->Send(cluster_->coordinator_id(), std::move(terminated));
 }
 
-void NodeRuntime::ExecuteQuery(int query_id) {
+void NodeRuntime::AcquireSlot() {
+  int in_flight = 0;
+  {
+    MutexLock lock(&inflight_mu_);
+    const int budget = std::max(1, options_.max_inflight);
+    while (inflight_ >= budget) inflight_cv_.Wait(&inflight_mu_);
+    in_flight = ++inflight_;
+  }
+  MutexLock stats(&stats_mu_);
+  batch_stats_.inflight_hwm = std::max(batch_stats_.inflight_hwm, in_flight);
+}
+
+void NodeRuntime::ReleaseSlot() {
+  MutexLock lock(&inflight_mu_);
+  --inflight_;
+  inflight_cv_.SignalAll();
+}
+
+void NodeRuntime::Execute(RunKind kind, int query_id,
+                          const std::vector<int>& stolen_batch_ids) {
   Stopwatch watch;
-  std::atomic<float>* cell =
-      options_.share_bsf ? &bsf_board_[query_id] : nullptr;
+  // Stolen work always prunes against the BSF board: the victim's BSF
+  // travelled with the grant. Recovery shares the cell (stolen work may
+  // have tightened it) but never broadcasts: the group is terminating and
+  // the cells die with the batch — correctness never depends on BSF
+  // sharing.
+  std::atomic<float>* cell = options_.share_bsf || kind == RunKind::kStolen
+                                 ? &bsf_board_[query_id]
+                                 : nullptr;
   std::function<void(float)> on_improve;
-  if (options_.share_bsf) {
+  if (options_.share_bsf && kind != RunKind::kRecovery) {
     on_improve = [this, query_id](float threshold) {
       Message update;
       update.type = MessageType::kBsfUpdate;
@@ -559,6 +539,9 @@ void NodeRuntime::ExecuteQuery(int query_id) {
       cluster_->Broadcast(update, /*except=*/id_);
     };
   }
+  // Every run reads the batch-level prepared artifact — a steal or a
+  // recovery costs no re-summarization — and runs on the node's
+  // persistent pool.
   QueryExecution exec(index_.get(), queries_->query(query_id),
                       options_.query_options, cell, on_improve);
   const float initial_bsf = exec.SeedInitialBsf();
@@ -567,26 +550,36 @@ void NodeRuntime::ExecuteQuery(int query_id) {
     exec.set_queue_threshold(
         options_.threshold_model->PredictThreshold(initial_bsf));
   }
-  {
-    MutexLock lock(&exec_mu_);
-    running_execs_.push_back({query_id, &exec});
-  }
-  exec.Run(workers_.get());
-  {
-    MutexLock lock(&exec_mu_);
-    for (auto it = running_execs_.begin(); it != running_execs_.end(); ++it) {
-      if (it->second == &exec) {
-        running_execs_.erase(it);
-        break;
+  switch (kind) {
+    case RunKind::kOwn: {
+      {
+        MutexLock lock(&exec_mu_);
+        running_execs_.push_back({query_id, &exec});
       }
+      exec.Run(workers_.get());
+      MutexLock lock(&exec_mu_);
+      running_execs_.erase(std::find(running_execs_.begin(),
+                                     running_execs_.end(),
+                                     std::make_pair(query_id, &exec)));
+      break;
     }
+    case RunKind::kRecovery:
+      exec.Run(workers_.get());
+      break;
+    case RunKind::kStolen:
+      exec.RunBatchSubset(stolen_batch_ids, workers_.get());
+      break;
   }
-  SendLocalAnswer(query_id, exec.results().SortedResults());
-  {
-    MutexLock lock(&stats_mu_);
+  SendLocalAnswer(query_id, exec.results().SortedResults(),
+                  /*recovery=*/kind == RunKind::kRecovery);
+  MutexLock lock(&stats_mu_);
+  if (kind == RunKind::kStolen) {
+    batch_stats_.batches_stolen_run +=
+        static_cast<int>(stolen_batch_ids.size());
+  } else {
     ++batch_stats_.queries_executed;
-    batch_stats_.busy_seconds += watch.ElapsedSeconds();
   }
+  batch_stats_.busy_seconds += watch.ElapsedSeconds();
 }
 
 void NodeRuntime::PerformWorkStealing() {
@@ -757,69 +750,14 @@ void NodeRuntime::PerformWorkStealing() {
       ++batch_stats_.successful_steals;
     }
     // Stolen work draws from the same admission budget as the node's own
-    // queries: claim an in-flight slot for the re-run so inflight_/the
-    // high-water mark account for every unit of work the pool executes. The wait never stalls in practice — stealing starts
+    // queries, so the high-water mark accounts for every unit of work the
+    // pool executes. The wait never stalls in practice — stealing starts
     // after the node's own queries drained — but the invariant (at most
     // max_inflight concurrent work items) is enforced, not assumed.
-    {
-      MutexLock lock(&inflight_mu_);
-      const int budget = std::max(1, options_.max_inflight);
-      while (inflight_ >= budget) inflight_cv_.Wait(&inflight_mu_);
-      ++inflight_;
-      {
-        MutexLock stats(&stats_mu_);
-        batch_stats_.inflight_hwm =
-            std::max(batch_stats_.inflight_hwm, inflight_);
-      }
-      executor_stats::RecordQueriesInFlight(static_cast<uint64_t>(inflight_));
-    }
-    RunStolenWork(reply);
-    {
-      MutexLock lock(&inflight_mu_);
-      --inflight_;
-      inflight_cv_.SignalAll();
-    }
-  }
-}
-
-void NodeRuntime::RunStolenWork(const Message& reply) {
-  Stopwatch watch;
-  const int query_id = reply.query_id;
-  AtomicFetchMinFloat(&bsf_board_[query_id], reply.bsf);
-  std::function<void(float)> on_improve;
-  if (options_.share_bsf) {
-    on_improve = [this, query_id](float threshold) {
-      Message update;
-      update.type = MessageType::kBsfUpdate;
-      update.from = id_;
-      update.query_id = query_id;
-      update.bsf = threshold;
-      cluster_->Broadcast(update, /*except=*/id_);
-    };
-  }
-  // The stolen query's summaries come from the same batch-level prepared
-  // artifact the victim used — a steal costs no re-summarization — and the
-  // stolen phases run on the same persistent pool (idle by now: stealing
-  // only starts after the node's own queries finished).
-  QueryExecution exec(index_.get(), queries_->query(query_id),
-                      options_.query_options, &bsf_board_[query_id],
-                      on_improve);
-  const float initial_bsf = exec.SeedInitialBsf();
-  if (options_.threshold_model != nullptr &&
-      options_.threshold_model->calibrated()) {
-    exec.set_queue_threshold(
-        options_.threshold_model->PredictThreshold(initial_bsf));
-  }
-  exec.RunBatchSubset(reply.batch_ids, workers_.get());
-  {
-    MutexLock lock(&stats_mu_);
-    batch_stats_.batches_stolen_run +=
-        static_cast<int>(reply.batch_ids.size());
-  }
-  SendLocalAnswer(query_id, exec.results().SortedResults());
-  {
-    MutexLock lock(&stats_mu_);
-    batch_stats_.busy_seconds += watch.ElapsedSeconds();
+    AcquireSlot();
+    AtomicFetchMinFloat(&bsf_board_[reply.query_id], reply.bsf);
+    Execute(RunKind::kStolen, reply.query_id, reply.batch_ids);
+    ReleaseSlot();
   }
 }
 

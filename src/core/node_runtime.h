@@ -56,9 +56,8 @@ struct NodeBatchOptions {
   bool share_bsf = true;
   /// Maximum queries this node runs concurrently on its pool (>= 1). One
   /// shared admission budget covers everything the node executes: streamed
-  /// admissions, batch queries (AnswerBatch raises this to the pool width;
-  /// ODYSSEY_BATCH_INFLIGHT overrides) and stolen
-  /// batches run in PerformWorkStealing — all claim in-flight slots
+  /// admissions, batch queries (AnswerBatch sets it to the pool width) and
+  /// stolen batches run in PerformWorkStealing — all claim in-flight slots
   /// against the same counter.
   int max_inflight = 1;
   /// Interval for unsolicited kHeartbeat pings to the coordinator, in
@@ -164,22 +163,41 @@ class NodeRuntime {
   void EpochThread(bool comms);
   void CommsLoop();
   void MainLoop();
-  void ExecuteQuery(int query_id);
-  void HandleStealRequest(int thief, int steal_seq)
+  /// In-flight admission: AcquireSlot blocks until fewer than max_inflight
+  /// work items run, claims a slot and raises the high-water mark;
+  /// ReleaseSlot returns it. Shared by MainLoop and PerformWorkStealing.
+  void AcquireSlot() ODYSSEY_EXCLUDES(inflight_mu_, stats_mu_);
+  void ReleaseSlot() ODYSSEY_EXCLUDES(inflight_mu_);
+  /// What one node-side query run is for; Execute keeps the differences.
+  enum class RunKind {
+    /// An assigned query: broadcasts BSF improvements and is registered
+    /// as a steal victim while it runs.
+    kOwn,
+    /// A dead group member's query (kRecoverQuery), re-run whole on the
+    /// comms thread. Never broadcasts and is not stealable: otherwise the
+    /// protocol would have to track grants-of-grants across further
+    /// failures. Its answer carries the recovery flag.
+    kRecovery,
+    /// RS-batches a victim granted (or this node re-runs after its thief
+    /// died): runs only those batches, always against the BSF board.
+    kStolen,
+  };
+  /// The one QueryExecution setup every run shares — BSF cell, kBsfUpdate
+  /// broadcast, seeded initial BSF, threshold-model TH — then the run
+  /// itself, the local answer and the batch counters.
+  /// `stolen_batch_ids` is read only for RunKind::kStolen.
+  void Execute(RunKind kind, int query_id,
+               const std::vector<int>& stolen_batch_ids = {})
       ODYSSEY_EXCLUDES(exec_mu_, stats_mu_);
+  void HandleStealRequest(int thief, int steal_seq)
+      ODYSSEY_EXCLUDES(state_mu_, exec_mu_, stats_mu_);
   /// Comms-thread reaction to the coordinator's kNodeDead verdict: marks
   /// `subject` done+dead (waking the steal loop), re-runs every RS-batch
   /// this node had granted to `subject` (those batches left our ownership
   /// at grant time and would otherwise run nowhere), and acks so the
   /// coordinator knows the re-coverage answers are in flight.
   void HandleNodeDead(int subject) ODYSSEY_EXCLUDES(state_mu_, stats_mu_);
-  /// Comms-thread full re-execution of a dead group member's query
-  /// (coordinator reassignment). Not registered as a steal victim:
-  /// recovery work is not stealable, otherwise the protocol would have to
-  /// track grants-of-grants across further failures.
-  void ExecuteRecoveryQuery(int query_id) ODYSSEY_EXCLUDES(stats_mu_);
   void PerformWorkStealing();
-  void RunStolenWork(const Message& reply);
   /// `recovery` must be true exactly when the answer fulfils a
   /// kRecoverQuery — the coordinator only retires its pending-recovery
   /// entry on a flagged answer (see Message::recovery).
@@ -288,7 +306,7 @@ class NodeRuntime {
   /// sleeping blind.
   uint64_t state_version_ ODYSSEY_GUARDED_BY(state_mu_) = 0;
 
-  // In-flight admission (max_inflight > 1).
+  // In-flight admission (AcquireSlot/ReleaseSlot).
   Mutex inflight_mu_;
   CondVar inflight_cv_;
   int inflight_ ODYSSEY_GUARDED_BY(inflight_mu_) = 0;
