@@ -142,8 +142,10 @@ class CoordinatorRecovery {
     // Write off acks we were owed *by* the deceased, and collect
     // recoveries it owned — they must move to another survivor.
     std::vector<int> orphaned;
+    bool wrote_off_an_ack = false;
     for (auto it = pending_acks_.begin(); it != pending_acks_.end();) {
       if (it->first == node) {
+        wrote_off_an_ack = true;
         it = pending_acks_.erase(it);
       } else {
         ++it;
@@ -173,10 +175,15 @@ class CoordinatorRecovery {
     if (!survivors.ok()) {
       // Chunk coverage is gone; surface the error instead of merging a
       // silently partial answer. No reassignment target exists. A node
-      // that terminated first has delivered every answer, and with no
+      // that terminated first has delivered its own answers, and with no
       // live group member left nobody can still be owed a steal reply by
-      // it, so nothing is missing.
-      if (!terminated) status_ = survivors.status();
+      // it. But its comms thread keeps working after kNodeTerminated —
+      // recovery re-runs and grant replays — and that thread is also its
+      // heartbeat, so a terminated node can fall silent mid-recovery.
+      // Only one that owed nothing leaves nothing missing.
+      if (!terminated || !orphaned.empty() || wrote_off_an_ack) {
+        status_ = survivors.status();
+      }
       return;
     }
     // Re-execute *everything* dispatched to the deceased — even queries it

@@ -460,7 +460,11 @@ void NodeRuntime::MainLoop() {
   // the pool — one at a time in the paper's batch model, several when the
   // node's workers can run admitted queries side by side. The next query
   // is requested before a slot frees, so it starts the moment one does
-  // instead of after a coordinator round trip...
+  // instead of after a coordinator round trip. That holds at a budget of
+  // 1 too, where the paper's DQS asks only once its query is done: a
+  // granted query then waits here while a group member might have taken
+  // it, but a budget-1 dynamic batch still finished sooner than when
+  // asking after the query...
   TaskGroup inflight_group(workers_.get());
   for (;;) {
     const int qid = NextQuery();

@@ -14,6 +14,7 @@
 // count, ODYSSEY_CHAOS_BUDGET_SECONDS soft-stops sweeping when the suite
 // has run that long (sanitizer CI legs use it; 0/unset = run everything).
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -457,6 +458,49 @@ TEST(ChaosRecoveryTest, EquallySplitDeathIsAnErrorNotAWrongAnswer) {
   }
 }
 
+TEST(ChaosRecoveryTest, TerminatedSurvivorSilentMidRecoveryIsAnError) {
+  // FULL/2, static, one query: StaticSplit hands it to node 1, so node 0
+  // owns nothing and terminates at once. Node 1 dies at its first send (a
+  // heartbeat: its query runs far longer), and node 0 re-runs the query on
+  // its comms thread, which is also its heartbeat. A wide-window DTW query
+  // outlasts the deadline several times over, so node 0 falls silent
+  // mid-recovery and is declared dead while terminated and still owing the
+  // recovery answer. Its group then has no live member: the batch must end
+  // in a Status, never an OK report that lacks the query's coverage.
+  const SeriesCollection data = GenerateSeismicLike(16000, 256, 395);
+  const SeriesCollection queries = GenerateRandomWalk(1, 256, 397);
+  OdysseyOptions options = BaseOptions(2, 1);
+  options.index_options.config = IsaxConfig(256, 16);
+  options.query_options.num_threads = 1;
+  options.query_options.use_dtw = true;
+  options.query_options.dtw_window = WarpingWindowFromFraction(256, 0.5);
+  options.scheduling = SchedulingPolicy::kStatic;
+  options.worksteal.enabled = false;
+  OdysseyCluster cluster(data, options);
+  // The deadline is a quarter of the measured query time, and at least two
+  // 25 ms heartbeats, so the recovery run outlasts it on any host speed.
+  const BatchReport reference = cluster.AnswerBatch(queries);
+  const double deadline = std::max(0.05, reference.query_seconds / 4);
+
+  FaultPlan plan;
+  plan.seed = 39100;
+  plan.dead_node = 1;
+  plan.kill_after_sends = 1;
+  cluster.set_fault_plan(plan);
+  cluster.set_liveness_timeout_seconds(deadline);
+  PlanWatchdog watchdog(plan.seed, kPlanDeadlineSeconds);
+  const BatchReport report = cluster.AnswerBatch(queries);
+  SCOPED_TRACE(ReproLine(plan.seed));
+  std::printf("[chaos] query %.0f ms, deadline %.0f ms\n",
+              reference.query_seconds * 1e3, deadline * 1e3);
+  ASSERT_FALSE(report.status.ok())
+      << "an OK report after every member of the group was declared dead";
+  EXPECT_NE(report.status.message().find("no longer fully covered"),
+            std::string::npos)
+      << report.status.ToString();
+  EXPECT_EQ(report.dead_nodes.size(), 2u);
+}
+
 bool SameAnswers(const BatchReport& want, const BatchReport& got) {
   if (got.answers.size() != want.answers.size()) return false;
   for (size_t q = 0; q < want.answers.size(); ++q) {
@@ -499,6 +543,7 @@ TEST(ChaosRecoveryTest, FalseVerdictsNeverReturnAWrongOkAnswer) {
     int wrong = 0;            // status OK with a wrong answer
   };
   const int iters = EnvItersOr(20);
+  constexpr int kBarrenIters = 3;
   int ok_with_verdict = 0;
   int wrong = 0;
   uint64_t run_id = 43000;
@@ -537,6 +582,17 @@ TEST(ChaosRecoveryTest, FalseVerdictsNeverReturnAWrongOkAnswer) {
           ++tally.wrong;
           ++wrong;
         }
+      }
+      // Only a status-OK run that survived a verdict checks anything. Under
+      // sanitizers a query outlasts the heartbeat many times over, so every
+      // verdict cascades into a Status or none fires at all; stop such a
+      // sweep instead of spending the suite's shared budget on it.
+      if (i + 1 >= kBarrenIters &&
+          tallies[0].ok_with_verdict + tallies[1].ok_with_verdict == 0) {
+        std::printf("[chaos] false verdicts, %s: no status-OK run survived "
+                    "a verdict in %d iterations; stopping this layout\n",
+                    layout.name, i + 1);
+        break;
       }
     }
     for (const int stream : {0, 1}) {
