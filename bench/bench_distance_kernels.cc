@@ -5,7 +5,10 @@
 // acceptance number for SIMD-touching PRs. BM_MindistSax/BM_MindistWord
 // time the summary lower bounds the exact search computes per series and
 // per tree node: the direct per-segment definition (Arg 0) against the
-// per-query MindistTable (Arg 1).
+// per-query MindistTable (Arg 1). BM_ScatteredScan times the leaf-scan
+// layer above them: one ED call on an L1-resident series, on a series
+// scattered over a 51 MB chunk, and on scattered series that the scan's
+// filter-then-prefetch blocks load ahead of scoring.
 //
 //   $ ./bench_distance_kernels
 
@@ -20,8 +23,11 @@
 #include "src/distance/dtw.h"
 #include "src/distance/lb_keogh.h"
 #include "src/distance/simd.h"
+#include "src/dataset/generators.h"
+#include "src/index/buffers.h"
 #include "src/index/builder.h"
 #include "src/isax/mindist.h"
+#include "src/isax/paa.h"
 #include "tests/testing_utils.h"
 
 namespace odyssey {
@@ -279,6 +285,95 @@ void BM_MindistWord(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "reference" : "table");
 }
 BENCHMARK(BM_MindistWord)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/// The leaf-scan layer: 64k ids drawn at random from a 50k x 256 random
+/// walk collection (51 MB, a node's chunk on the benchmark's batch
+/// workload), each with its SAX lower bound, scored by full-length
+/// early-abandoning ED (an infinite threshold, so every call reads the
+/// whole series). The draw spans the whole collection, so a scattered
+/// series is neither in L1/L2 nor behind a warm TLB entry.
+struct ScatteredFixture {
+  static constexpr size_t kCollection = 50000;
+  static constexpr size_t kIds = 65536;
+  /// Series an L1-resident block holds: 16 x 1 KB.
+  static constexpr size_t kResident = 16;
+  static constexpr size_t kBlock = 32;  // QueryExecution::kScanBlock
+
+  SeriesCollection data;
+  SeriesCollection query;
+  std::vector<uint32_t> ids;
+  std::vector<float> bounds;  // bounds[i]: SAX lower bound of ids[i]
+
+  static const ScatteredFixture& Get() {
+    static const ScatteredFixture& fixture = *new ScatteredFixture();
+    return fixture;
+  }
+
+ private:
+  ScatteredFixture()
+      : data(GenerateRandomWalk(kCollection, kLength, 107)),
+        query(GenerateRandomWalk(1, kLength, 109)) {
+    const IsaxConfig config = bench::DefaultIndexOptions(kLength).config;
+    const std::vector<uint8_t> sax = ComputeSaxTable(data, config, nullptr);
+    const MindistTable table = MindistTable::ForPaa(
+        ComputePaa(query.data(0), config.paa).data(), config);
+    Rng rng(113);
+    for (size_t i = 0; i < kIds; ++i) {
+      const auto id = static_cast<uint32_t>(rng.NextBounded(kCollection));
+      ids.push_back(id);
+      const size_t row = static_cast<size_t>(id) * config.segments();
+      bounds.push_back(table.ToSax(sax.data() + row));
+    }
+  }
+};
+
+/// Arg 0 scores each id's bound check and distance against a series of an
+/// L1-resident block (the kernel's own cost); Arg 1 against the id's
+/// scattered series, one at a time (the per-series scan); Arg 2 runs the
+/// leaf scan's blocks: filter 32 ids by their bounds, prefetch the
+/// survivors' series, then score them. Per-item time is per distance.
+void BM_ScatteredScan(benchmark::State& state) {
+  const ScatteredFixture& f = ScatteredFixture::Get();
+  const simd::KernelTable& kernels = simd::ActiveTable();
+  const float* query = f.query.data(0);
+  constexpr float kThreshold = std::numeric_limits<float>::infinity();
+  const int64_t mode = state.range(0);
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    if (mode == 2) {
+      for (size_t begin = 0; begin < f.ids.size();
+           begin += ScatteredFixture::kBlock) {
+        uint32_t survivors[ScatteredFixture::kBlock];
+        size_t count = 0;
+        for (size_t i = begin; i < begin + ScatteredFixture::kBlock; ++i) {
+          if (f.bounds[i] >= kThreshold) continue;
+          f.data.Prefetch(f.ids[i]);
+          survivors[count++] = f.ids[i];
+        }
+        for (size_t j = 0; j < count; ++j) {
+          checksum += kernels.squared_euclidean_early_abandon(
+              query, f.data.data(survivors[j]), kLength, kThreshold);
+        }
+      }
+      continue;
+    }
+    for (size_t i = 0; i < f.ids.size(); ++i) {
+      if (f.bounds[i] >= kThreshold) continue;
+      const size_t series =
+          mode == 0 ? f.ids[i] % ScatteredFixture::kResident : f.ids[i];
+      checksum += kernels.squared_euclidean_early_abandon(
+          query, f.data.data(series), kLength, kThreshold);
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.ids.size()));
+  static constexpr const char* kLabels[] = {"l1_resident", "scattered",
+                                            "blocked_prefetch"};
+  state.SetLabel(kLabels[mode]);
+}
+BENCHMARK(BM_ScatteredScan)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace odyssey

@@ -1,6 +1,8 @@
 #include "src/index/approx_search.h"
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/distance/dtw.h"
@@ -57,12 +59,22 @@ const TreeNode* DescendToLeaf(const Index& index, const PreparedQuery& query,
 template <typename DistanceFn>
 float ScanLeaf(const Index& index, const TreeNode* leaf, const float* query,
                uint32_t* answer_id, const DistanceFn& distance) {
+  // Every series of the leaf is scored, so the scan prefetches a couple of
+  // series ahead: the next candidates' cache misses overlap the current
+  // distance call instead of following it.
+  constexpr size_t kPrefetchAhead = 2;
+  const SeriesCollection& data = index.data();
+  const std::vector<uint32_t>& ids = leaf->ids();
+  for (size_t i = 0; i < std::min(kPrefetchAhead, ids.size()); ++i) {
+    data.Prefetch(ids[i]);
+  }
   float best = std::numeric_limits<float>::infinity();
-  for (uint32_t id : leaf->ids()) {
-    const float d = distance(query, index.data().data(id), best);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i + kPrefetchAhead < ids.size()) data.Prefetch(ids[i + kPrefetchAhead]);
+    const float d = distance(query, data.data(ids[i]), best);
     if (d < best) {
       best = d;
-      if (answer_id != nullptr) *answer_id = id;
+      if (answer_id != nullptr) *answer_id = ids[i];
     }
   }
   return best;

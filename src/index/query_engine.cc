@@ -98,8 +98,12 @@ struct QueryExecution::QueueBuilder {
   RsBatch* batch = nullptr;
   size_t capacity = 0;
   std::unique_ptr<BoundedPq> current;
+  /// Leaves pushed so far; TraverseBatch publishes the count once, since
+  /// the stats counter's cache line is shared by the query's workers.
+  size_t pushed = 0;
 
   void Push(PqItem item) {
+    ++pushed;
     if (current == nullptr) current = std::make_unique<BoundedPq>(capacity);
     if (current->Push(item)) Seal();
   }
@@ -333,6 +337,9 @@ ODYSSEY_HOT void QueryExecution::TraverseBatch(RsBatch* batch) {
     batch->roots_done.fetch_add(1, std::memory_order_acq_rel);
   }
   builder.Seal();
+  if (builder.pushed != 0) {
+    stat_leaves_inserted_.fetch_add(builder.pushed, std::memory_order_relaxed);
+  }
 }
 
 ODYSSEY_HOT void QueryExecution::TraverseNode(const TreeNode* node,
@@ -342,7 +349,6 @@ ODYSSEY_HOT void QueryExecution::TraverseNode(const TreeNode* node,
   if (lb >= PruneThreshold()) return;
   if (node->is_leaf()) {
     builder->Push({lb, node});
-    stat_leaves_inserted_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   TraverseNode(node->left(), builder);
@@ -362,14 +368,42 @@ ODYSSEY_HOT void QueryExecution::ProcessQueue(BoundedPq* queue) {
 ODYSSEY_HOT void QueryExecution::ScanLeaf(const TreeNode* leaf) {
   stat_leaves_processed_.fetch_add(1, std::memory_order_relaxed);
   const auto& ids = leaf->ids();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const float threshold = PruneThreshold();
-    // Per-series summary filter at full cardinality before the real
-    // distance (the tightest summary-level bound).
-    if (SeriesLowerBound(leaf->leaf_sax(i)) >= threshold) continue;
-    const float d = RealDistance(index_->data().data(ids[i]), threshold);
-    stat_real_distances_.fetch_add(1, std::memory_order_relaxed);
-    if (d < threshold) OfferCandidate(d, ids[i]);
+  const SeriesCollection& data = index_->data();
+  size_t scored = 0;
+  // A candidate's raw values sit at a scattered position of the chunk, so
+  // its distance call would start with a cache and TLB miss. The leaf is
+  // scanned in blocks instead: filter the block by its per-series summary
+  // bounds (full cardinality, the tightest summary-level bound), prefetch
+  // the survivors' series, then score them while the loads are in flight.
+  // Scoring re-checks each stored bound against the current threshold, and
+  // thresholds only fall, so the scan scores exactly the series a
+  // series-at-a-time loop would, in the same order.
+  for (size_t begin = 0; begin < ids.size(); begin += kScanBlock) {
+    const size_t end = std::min(ids.size(), begin + kScanBlock);
+    uint32_t survivor_ids[kScanBlock];
+    float survivor_bounds[kScanBlock];
+    size_t survivors = 0;
+    const float block_threshold = PruneThreshold();
+    for (size_t i = begin; i < end; ++i) {
+      const float lb = SeriesLowerBound(leaf->leaf_sax(i));
+      if (lb >= block_threshold) continue;
+      data.Prefetch(ids[i]);
+      survivor_ids[survivors] = ids[i];
+      survivor_bounds[survivors] = lb;
+      ++survivors;
+    }
+    for (size_t j = 0; j < survivors; ++j) {
+      const float threshold = PruneThreshold();
+      if (survivor_bounds[j] >= threshold) continue;
+      const float d = RealDistance(data.data(survivor_ids[j]), threshold);
+      ++scored;
+      if (d < threshold) OfferCandidate(d, survivor_ids[j]);
+    }
+  }
+  // At most one update per leaf: the counter's cache line is shared by
+  // every worker of the query.
+  if (scored != 0) {
+    stat_real_distances_.fetch_add(scored, std::memory_order_relaxed);
   }
 }
 

@@ -275,6 +275,11 @@ class QueryExecution {
   const KnnSet& results() const { return knn_; }
   QueryStats stats() const ODYSSEY_EXCLUDES(steal_mu_);
 
+  /// Series per leaf-scan block: each block is filtered, its survivors'
+  /// raw series prefetched, then scored. 32 survivors of 256 points are
+  /// 32 KB of prefetched lines, within an L1 data cache.
+  static constexpr size_t kScanBlock = 32;
+
  private:
   friend class QueryScratch;
   enum class Phase { kInit, kTraversal, kProcessing, kDone };
@@ -310,6 +315,8 @@ class QueryExecution {
   ODYSSEY_HOT void TraverseBatch(RsBatch* batch);
   ODYSSEY_HOT void TraverseNode(const TreeNode* node, QueueBuilder* builder);
   ODYSSEY_HOT void ProcessQueue(BoundedPq* queue);
+  /// Scores a leaf's series in blocks of kScanBlock: summary filter,
+  /// prefetch of the survivors, then real distances (see the definition).
   ODYSSEY_HOT void ScanLeaf(const TreeNode* leaf);
   ODYSSEY_HOT void OfferCandidate(float squared_distance, uint32_t id)
       ODYSSEY_HOT_ALLOWS(

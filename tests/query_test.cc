@@ -13,12 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/hotpath.h"
+#include "src/common/rng.h"
 #include "src/common/summary_stats.h"
 #include "src/common/thread_pool.h"
 #include "src/core/driver.h"
@@ -355,6 +358,197 @@ TEST(FixedIdSetTest, MatchesReferenceSetUnderEvictionWorkload) {
     }
   }
 }
+
+// ------------------------------------------------- leaf-scan block edges
+
+// The exact scan filters, prefetches and scores a leaf in blocks of
+// QueryExecution::kScanBlock series. This data set puts leaves of every
+// size around a block edge — 1, 31, 32, 33 and 128 series — next to an
+// overflow leaf: 200 series with one SAX word at full cardinality, more
+// than leaf_capacity, so no split can separate them.
+//
+// Each ordinary cluster shares one root key (the signs of its segment
+// means, four positive and four negative) and holds at most
+// leaf_capacity series, so it is one root leaf. The overflow cluster's
+// series add offsets of +-j/1024 pairwise within each segment to segment
+// means of +-0.75: every sum is exact, so every PAA value is exactly
+// +-0.75 and the SAX words agree. Offsets repeat every 50 series, which
+// makes exact distance ties that the (distance, id) order must resolve.
+//
+// The last series of the 31-, 33- and 128-series clusters are near zero:
+// their cluster's signs at magnitudes kNearZero[c]. Near-zero queries
+// with the signs of a cluster that holds no such series (see
+// kNearZeroQueryPatterns) then have their nearest neighbours in those leaf
+// tails, outside the leaf the approximate search seeds the answer from,
+// so even k = 1 depends on the exact scan reaching a leaf's last block.
+constexpr size_t kBlockTestLength = 64;
+constexpr size_t kBlockTestLeafCapacity = 128;
+constexpr size_t kOverflowLeafSize = 200;
+constexpr size_t kSegmentLength = kBlockTestLength / 8;
+constexpr uint8_t kNearZeroQueryPatterns[] = {0x0F, 0x33, 0xAA};
+
+void AppendSignPattern(uint8_t pattern, float magnitude,
+                       SeriesCollection* data) {
+  std::vector<float> series(kBlockTestLength);
+  for (size_t t = 0; t < kBlockTestLength; ++t) {
+    const bool positive = (pattern >> (t / kSegmentLength)) & 1u;
+    series[t] = positive ? magnitude : -magnitude;
+  }
+  data->Append(series.data());
+}
+
+SeriesCollection BlockEdgeCollection() {
+  const size_t sizes[] = {1, 31, 32, 33, 128};
+  const uint8_t patterns[] = {0x0F, 0xF0, 0x33, 0xCC, 0x55};
+  const float kNearZero[] = {0.0f, 0.025f, 0.0f, 0.02f, 0.03f};
+  SeriesCollection data(kBlockTestLength);
+  Rng rng(4101);
+  std::vector<float> series(kBlockTestLength);
+  for (size_t c = 0; c < std::size(sizes); ++c) {
+    for (size_t n = 0; n < sizes[c]; ++n) {
+      if (kNearZero[c] > 0.0f && n + 1 == sizes[c]) {
+        AppendSignPattern(patterns[c], kNearZero[c], &data);
+        continue;
+      }
+      for (size_t t = 0; t < kBlockTestLength; ++t) {
+        const bool positive = (patterns[c] >> (t / kSegmentLength)) & 1u;
+        series[t] = (positive ? 1.0f : -1.0f) +
+                    static_cast<float>(0.2 * rng.NextGaussian());
+      }
+      data.Append(series.data());
+    }
+  }
+  constexpr uint8_t kOverflowPattern = 0xAA;
+  for (size_t n = 0; n < kOverflowLeafSize; ++n) {
+    const float step = static_cast<float>(n % 50 + 1) / 1024.0f;
+    for (size_t t = 0; t < kBlockTestLength; ++t) {
+      const bool positive = (kOverflowPattern >> (t / kSegmentLength)) & 1u;
+      const size_t j = t % kSegmentLength;
+      const float offset = static_cast<float>(j / 2 + 1) * step;
+      series[t] = (positive ? 0.75f : -0.75f) + (j % 2 == 0 ? offset : -offset);
+    }
+    data.Append(series.data());
+  }
+  return data;
+}
+
+void CollectLeafSizes(const TreeNode* node, std::vector<size_t>* sizes) {
+  if (node->is_leaf()) {
+    if (!node->ids().empty()) sizes->push_back(node->ids().size());
+    return;
+  }
+  CollectLeafSizes(node->left(), sizes);
+  CollectLeafSizes(node->right(), sizes);
+}
+
+struct BlockEdgeCase {
+  const char* name;
+  bool use_dtw;
+  int k;
+  int num_threads;
+};
+
+class LeafScanBlockTest : public ::testing::TestWithParam<BlockEdgeCase> {};
+
+TEST_P(LeafScanBlockTest, AnswersMatchOracleAtEveryBlockEdge) {
+  const BlockEdgeCase mode = GetParam();
+  const SeriesCollection data = BlockEdgeCollection();
+  IndexOptions index_options;
+  index_options.config = IsaxConfig(kBlockTestLength, 8);
+  index_options.leaf_capacity = kBlockTestLeafCapacity;
+  const Index index = Index::Build(SeriesCollection(data), index_options);
+
+  std::vector<size_t> leaf_sizes;
+  for (size_t r = 0; r < index.tree().root_count(); ++r) {
+    CollectLeafSizes(index.tree().root(r), &leaf_sizes);
+  }
+  std::sort(leaf_sizes.begin(), leaf_sizes.end());
+  ASSERT_EQ(leaf_sizes, (std::vector<size_t>{1, 31, 32, 33, 128,
+                                             kOverflowLeafSize}));
+  ASSERT_EQ(QueryExecution::kScanBlock, 32u)
+      << "the leaf sizes above bracket this block size";
+
+  // Queries near each cluster (perturbed members, and one exact overflow
+  // member), the near-zero queries, and walks that belong to no cluster,
+  // so both pruned and fully scanned leaves occur.
+  SeriesCollection queries(kBlockTestLength);
+  Rng rng(4103);
+  std::vector<float> query(kBlockTestLength);
+  for (uint32_t member : {0u, 20u, 50u, 90u, 200u, 300u, 400u}) {
+    for (size_t t = 0; t < kBlockTestLength; ++t) {
+      query[t] = data.data(member)[t] +
+                 static_cast<float>(0.3 * rng.NextGaussian());
+    }
+    queries.Append(query.data());
+  }
+  queries.Append(data.data(data.size() - 1));
+  const size_t first_near_zero = queries.size();
+  for (uint8_t pattern : kNearZeroQueryPatterns) {
+    AppendSignPattern(pattern, 0.005f, &queries);
+  }
+  const size_t end_near_zero = queries.size();
+  const SeriesCollection walks = GenerateRandomWalk(3, kBlockTestLength, 4105);
+  for (size_t q = 0; q < walks.size(); ++q) queries.Append(walks.data(q));
+
+  QueryOptions qo;
+  qo.num_threads = mode.num_threads;
+  qo.k = mode.k;
+  qo.use_dtw = mode.use_dtw;
+  qo.dtw_window =
+      mode.use_dtw ? WarpingWindowFromFraction(kBlockTestLength, 0.1) : 0;
+  const PreparedBatch batch = PrepareBatch(queries, index.config(), qo);
+  ThreadPool pool(2);
+  ThreadPool* run_pool = mode.num_threads > 1 ? &pool : nullptr;
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<Neighbor> want =
+        mode.use_dtw
+            ? testing_utils::BruteForceKnnDtw(data, queries.data(q), mode.k,
+                                              qo.dtw_window)
+            : testing_utils::BruteForceKnn(data, queries.data(q), mode.k);
+    if (q >= first_near_zero && q < end_near_zero) {
+      const std::vector<uint32_t>& seed_ids =
+          ApproximateSearchLeaf(index, batch.query(q), nullptr)->ids();
+      ASSERT_EQ(std::count(seed_ids.begin(), seed_ids.end(), want[0].id), 0)
+          << mode.name << " query " << q
+          << ": the nearest neighbour must lie outside the seeding leaf";
+    }
+    size_t first_real_distances = 0;
+    for (int run = 0; run < 2; ++run) {
+      QueryExecution exec(&index, batch.query(q), qo);
+      exec.SeedInitialBsf();
+      exec.Run(run_pool);
+      const std::vector<Neighbor> got = exec.results().SortedResults();
+      ASSERT_EQ(got.size(), want.size()) << mode.name << " query " << q;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].squared_distance, want[i].squared_distance)
+            << mode.name << " query " << q << " rank " << i;
+        EXPECT_EQ(got[i].id, want[i].id)
+            << mode.name << " query " << q << " rank " << i;
+      }
+      // One worker scores a deterministic sequence of series.
+      const size_t real_distances = exec.stats().real_distances;
+      if (run == 0) {
+        first_real_distances = real_distances;
+      } else if (mode.num_threads == 1) {
+        EXPECT_EQ(real_distances, first_real_distances)
+            << mode.name << " query " << q;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, LeafScanBlockTest,
+    ::testing::Values(BlockEdgeCase{"ed_k1_t1", false, 1, 1},
+                      BlockEdgeCase{"ed_k1_t2", false, 1, 2},
+                      BlockEdgeCase{"ed_k5_t1", false, 5, 1},
+                      BlockEdgeCase{"ed_k5_t2", false, 5, 2},
+                      BlockEdgeCase{"dtw_k1_t1", true, 1, 1},
+                      BlockEdgeCase{"dtw_k1_t2", true, 1, 2},
+                      BlockEdgeCase{"dtw_k5_t1", true, 5, 1},
+                      BlockEdgeCase{"dtw_k5_t2", true, 5, 2}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // The counting allocator itself must be live — allocations inside a hot
 // region are observed, allocations outside (or under an allowance) are
