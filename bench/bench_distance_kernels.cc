@@ -8,7 +8,9 @@
 // per-query MindistTable (Arg 1). BM_ScatteredScan times the leaf-scan
 // layer above them: one ED call on an L1-resident series, on a series
 // scattered over a 51 MB chunk, and on scattered series that the scan's
-// filter-then-prefetch blocks load ahead of scoring.
+// filter-then-prefetch blocks load ahead of scoring. BM_DtwCascade times
+// the DTW scan's bound cascade per candidate: LB_Keogh, LB_Improved's
+// second pass, and the whole cascade with the share reaching the DP.
 //
 //   $ ./bench_distance_kernels
 
@@ -16,6 +18,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -24,6 +27,7 @@
 #include "src/distance/lb_keogh.h"
 #include "src/distance/simd.h"
 #include "src/dataset/generators.h"
+#include "src/dataset/workload.h"
 #include "src/index/buffers.h"
 #include "src/index/builder.h"
 #include "src/isax/mindist.h"
@@ -203,6 +207,120 @@ void BM_SquaredDtw256(benchmark::State& state) {
   state.SetLabel(simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
+
+/// Seismic-like (query, candidate) pairs for the DTW scan's bound cascade:
+/// a 4096-series archive of 256 points, and 8 queries that are noisy copies
+/// of archive series (noise 0.1-1.0, as the benchmark's stream-dtw
+/// workload draws them), each with its window-12 envelope and its exact
+/// 5th-nearest DTW distance, where a converged scan abandons.
+struct CascadeFixture {
+  static constexpr size_t kArchive = 4096;
+  static constexpr size_t kQueries = 8;
+  static constexpr size_t kWindow = 12;
+  static constexpr int kK = 5;
+
+  SeriesCollection archive;
+  SeriesCollection queries;
+  std::vector<Envelope> envelopes;
+  std::vector<float> thresholds;
+  /// The pairs whose LB_Keogh stays below the threshold, with that bound:
+  /// the calls the second pass gets.
+  struct Survivor {
+    size_t query;
+    size_t candidate;
+    float keogh;
+  };
+  std::vector<Survivor> keogh_survivors;
+
+  static const CascadeFixture& Get() {
+    static const CascadeFixture& fixture = *new CascadeFixture();
+    return fixture;
+  }
+
+ private:
+  static WorkloadOptions QueryOptions() {
+    WorkloadOptions options;
+    options.count = kQueries;
+    options.min_noise = 0.1;
+    options.max_noise = 1.0;
+    options.seed = 131;
+    return options;
+  }
+
+  CascadeFixture()
+      : archive(GenerateSeismicLike(kArchive, kLength, 127)),
+        queries(GenerateQueries(archive, QueryOptions())) {
+    for (size_t q = 0; q < kQueries; ++q) {
+      envelopes.push_back(BuildEnvelope(queries.data(q), kLength, kWindow));
+      thresholds.push_back(testing_utils::BruteForceKnnDtw(
+                               archive, queries.data(q), kK, kWindow)
+                               .back()
+                               .squared_distance);
+      for (size_t c = 0; c < kArchive; ++c) {
+        const float keogh = SquaredLbKeogh(envelopes[q], archive.data(c));
+        if (keogh < thresholds[q]) keogh_survivors.push_back({q, c, keogh});
+      }
+    }
+  }
+};
+
+/// The DTW scan's cascade per candidate, at the dispatched ISA: Arg 0 times
+/// LB_Keogh on every pair, Arg 1 LB_Improved's second pass on the pairs
+/// LB_Keogh lets through (per call), Arg 2 the whole SquaredDtwCascade on
+/// every pair. The dp_share counter is the share of all pairs that reach
+/// the DTW DP; keogh_pass is the share LB_Keogh lets through.
+void BM_DtwCascade(benchmark::State& state) {
+  const CascadeFixture& f = CascadeFixture::Get();
+  const simd::KernelTable& kernels = simd::ActiveTable();
+  const int64_t mode = state.range(0);
+  std::vector<float> scratch(simd::LbImprovedScratchFloats(kLength));
+  float checksum = 0.0f;
+  size_t dp_runs = 0;
+  size_t items = 0;
+  for (auto _ : state) {
+    if (mode == 1) {
+      for (const CascadeFixture::Survivor& p : f.keogh_survivors) {
+        const Envelope& env = f.envelopes[p.query];
+        checksum += kernels.lb_improved_second_pass(
+            f.queries.data(p.query), env.upper.data(), env.lower.data(),
+            f.archive.data(p.candidate), kLength, CascadeFixture::kWindow,
+            f.thresholds[p.query] - p.keogh, scratch.data());
+      }
+      items += f.keogh_survivors.size();
+      continue;
+    }
+    for (size_t q = 0; q < CascadeFixture::kQueries; ++q) {
+      const Envelope& env = f.envelopes[q];
+      for (size_t c = 0; c < CascadeFixture::kArchive; ++c) {
+        checksum +=
+            mode == 0
+                ? kernels.lb_keogh_early_abandon(
+                      env.upper.data(), env.lower.data(), f.archive.data(c),
+                      kLength, f.thresholds[q])
+                : SquaredDtwCascade(f.queries.data(q), env, f.archive.data(c),
+                                    CascadeFixture::kWindow, f.thresholds[q],
+                                    &dp_runs);
+      }
+    }
+    items += CascadeFixture::kQueries * CascadeFixture::kArchive;
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+  const double pairs = static_cast<double>(CascadeFixture::kQueries *
+                                           CascadeFixture::kArchive);
+  state.counters["keogh_pass"] =
+      static_cast<double>(f.keogh_survivors.size()) / pairs;
+  if (mode == 2 && state.iterations() > 0) {
+    state.counters["dp_share"] = static_cast<double>(dp_runs) /
+                                 (pairs * static_cast<double>(state.iterations()));
+  }
+  static constexpr const char* kLabels[] = {"lb_keogh", "second_pass",
+                                            "cascade"};
+  state.SetLabel(std::string(kLabels[mode]) + "/" +
+                 simd::IsaName(simd::ActiveIsa()));
+}
+BENCHMARK(BM_DtwCascade)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 /// A real index for the summary-bound benches: 16k random walks of 256
 /// points at 16 segments (the MESSI/Odyssey defaults), its every leaf SAX

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "src/common/hotpath.h"
+#include "src/distance/lb_keogh.h"
 
 namespace odyssey {
 
@@ -30,11 +31,26 @@ ODYSSEY_HOT float SquaredDtwEarlyAbandon(const float* a, const float* b,
                                          size_t n, size_t window,
                                          float threshold);
 
-/// Pre-sizes the calling thread's DTW scratch (simd::DtwScratchFloats(n):
-/// the scalar kernel's two DP rows, or the wavefront's padded reversed
-/// query plus its band row) for length-n series — the executor warm-up
-/// calls this on every pool worker so even a worker's first DTW distance of
-/// a batch allocates nothing.
+/// The DTW scan's distance of `candidate` to `query`, whose warping
+/// envelope for `window` is `envelope`: a cascade of ever tighter lower
+/// bounds, each early-abandoning at `threshold`. LB_Keogh first; then
+/// LB_Improved, which adds the second pass of simd::KernelTable's
+/// lb_improved_second_pass; then the DP of SquaredDtwEarlyAbandon. Same
+/// contract as SquaredDtwEarlyAbandon: exact when < `threshold`, otherwise
+/// some value >= `threshold` that lower-bounds the squared DTW. Both bounds
+/// hold under the same band, so a candidate they discard would have scored
+/// >= `threshold` anyway. Bumps `*dp_runs` (when given) if the DP ran.
+ODYSSEY_HOT float SquaredDtwCascade(const float* query,
+                                    const Envelope& envelope,
+                                    const float* candidate, size_t window,
+                                    float threshold, size_t* dp_runs = nullptr);
+
+/// Pre-sizes the calling thread's DTW scratch for length-n series: the
+/// larger of simd::DtwScratchFloats(n) (the scalar kernel's two DP rows, or
+/// the wavefront's padded reversed query plus its band row) and
+/// simd::LbImprovedScratchFloats(n) (the cascade's padded projection). The
+/// executor warm-up calls this on every pool worker so even a worker's
+/// first DTW distance of a batch allocates nothing.
 void ReserveDtwScratch(size_t n);
 
 /// Converts a warping fraction (e.g. 0.05 for the paper's "5% warping") to

@@ -1,7 +1,8 @@
 #include "src/distance/lb_keogh.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
+#include <limits>
 
 #include "src/common/check.h"
 #include "src/common/summary_stats.h"
@@ -12,26 +13,18 @@ namespace odyssey {
 Envelope BuildEnvelope(const float* q, size_t n, size_t window) {
   summary_stats::CountEnvelope();
   Envelope env;
+  if (n == 0) return env;
+  // The sliding max/min runs in place on copies of q padded by w points of
+  // -inf (upper) and +inf (lower) on both sides; the envelope is their
+  // first n entries, so trimming them allocates nothing further.
+  const size_t w = std::min(window, n - 1);
+  env.upper.assign(n + 2 * w, -std::numeric_limits<float>::infinity());
+  env.lower.assign(n + 2 * w, std::numeric_limits<float>::infinity());
+  std::copy(q, q + n, env.upper.begin() + static_cast<std::ptrdiff_t>(w));
+  std::copy(q, q + n, env.lower.begin() + static_cast<std::ptrdiff_t>(w));
+  simd::SlidingMaxMin(env.upper.data(), env.lower.data(), n, w);
   env.upper.resize(n);
   env.lower.resize(n);
-  // Lemire's streaming min/max over the sliding window [i-window, i+window].
-  std::deque<size_t> maxq, minq;
-  const size_t w = window;
-  for (size_t i = 0; i < n + w; ++i) {
-    if (i < n) {
-      while (!maxq.empty() && q[maxq.back()] <= q[i]) maxq.pop_back();
-      maxq.push_back(i);
-      while (!minq.empty() && q[minq.back()] >= q[i]) minq.pop_back();
-      minq.push_back(i);
-    }
-    if (i >= w) {
-      const size_t center = i - w;  // envelope position now fully covered
-      while (!maxq.empty() && maxq.front() + w < center) maxq.pop_front();
-      while (!minq.empty() && minq.front() + w < center) minq.pop_front();
-      env.upper[center] = q[maxq.front()];
-      env.lower[center] = q[minq.front()];
-    }
-  }
   return env;
 }
 

@@ -20,8 +20,8 @@ struct Envelope {
   size_t length() const { return upper.size(); }
 };
 
-/// Builds the envelope of `q` for the given window (in points). Uses the
-/// Lemire streaming min/max algorithm, O(n).
+/// Builds the envelope of `q` for the given window (in points) with the
+/// log-doubling sliding max/min of simd::SlidingMaxMin, O(n log window).
 Envelope BuildEnvelope(const float* q, size_t n, size_t window);
 
 /// Squared LB_Keogh: sum over i of the squared gap between candidate[i] and

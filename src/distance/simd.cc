@@ -2,6 +2,7 @@
 
 #include "src/common/hotpath.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -163,6 +164,96 @@ ODYSSEY_HOT float DtwScalarK(const float* a, const float* b, size_t n,
   return cur[n - 1];
 }
 
+// ------------------------------------------------- LB_Improved second pass
+// Every level runs the same three steps:
+//   1. project the candidate onto the query's envelope, into two buffers
+//      padded by w points of -inf (hi) and +inf (lo);
+//   2. turn them into the projection's envelope by log-doubling passes:
+//      after the pass with shift s, entry i holds the max/min over
+//      [i, i + 2s), until 2s would exceed the window's 2w + 1 points; one
+//      last pass joins two overlapping runs to cover exactly 2w + 1;
+//   3. score the query against that envelope with the level's own
+//      early-abandoning LB_Keogh.
+// Each pass runs in place from low to high index: entry i reads only i and
+// i + s, which the pass has not written yet. The vector passes round their
+// length up to whole vectors instead of running a scalar tail: the extra
+// entries read and write the slack past n + 2w, and no entry a later pass
+// relies on ever reads them.
+
+/// Floats of slack each padded buffer keeps past n + 2w for the rounded-up
+/// vector passes: they read at most 15 entries past the end.
+constexpr size_t kProjectionSlack = kDtwMaxLanes;
+
+/// The second pass's padded buffers: hi then lo, each n + 2w floats plus
+/// the slack, hi on a 64-byte boundary and lo on a 16-float one. At most
+/// 15 + 2 * (3n - 2 + 16 + 15) floats, within LbImprovedScratchFloats(n).
+struct ProjectionBuffers {
+  float* hi;
+  float* lo;
+};
+
+inline ProjectionBuffers PadProjection(size_t n, size_t w, float* scratch) {
+  float* hi = scratch;
+  while ((reinterpret_cast<uintptr_t>(hi) & 63u) != 0) ++hi;
+  const size_t stride = (n + 2 * w + kProjectionSlack + 15) / 16 * 16;
+  float* lo = hi + stride;
+  for (size_t m = 0; m < w; ++m) {
+    hi[m] = -kInf;
+    lo[m] = kInf;
+    hi[n + w + m] = -kInf;
+    lo[n + w + m] = kInf;
+  }
+  return {hi, lo};
+}
+
+/// max(c, lower) then min with upper: the exact clamp every level uses.
+inline float ClampToBand(float c, float lower, float upper) {
+  const float lifted = c > lower ? c : lower;
+  return lifted < upper ? lifted : upper;
+}
+
+/// One in-place max/min pass: entry i of [0, len) takes the max (hi) / min
+/// (lo) of itself and entry i + shift.
+/// Unconditional stores, so the compiler emits branch-free max/min instead
+/// of a branch that data-dependent comparisons mispredict.
+inline void MaxMinPassScalar(float* hi, float* lo, size_t len, size_t shift) {
+  for (size_t i = 0; i < len; ++i) {
+    hi[i] = std::max(hi[i], hi[i + shift]);
+    lo[i] = std::min(lo[i], lo[i + shift]);
+  }
+}
+
+}  // namespace
+
+ODYSSEY_HOT void SlidingMaxMin(float* hi, float* lo, size_t n,
+                               size_t window) {
+  const size_t span = 2 * window + 1;
+  size_t len = n + 2 * window;
+  size_t s = 1;
+  for (; 2 * s <= span; s *= 2) {
+    len -= s;
+    MaxMinPassScalar(hi, lo, len, s);
+  }
+  if (span > s) MaxMinPassScalar(hi, lo, n, span - s);
+}
+
+namespace {
+
+ODYSSEY_HOT float LbImprovedSecondPassScalarK(
+    const float* query, const float* upper, const float* lower,
+    const float* candidate, size_t n, size_t window, float threshold,
+    float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const ProjectionBuffers buf = PadProjection(n, w, scratch);
+  for (size_t i = 0; i < n; ++i) {
+    buf.hi[w + i] = buf.lo[w + i] =
+        ClampToBand(candidate[i], lower[i], upper[i]);
+  }
+  SlidingMaxMin(buf.hi, buf.lo, n, w);
+  return LbKeoghEarlyAbandonScalarK(buf.hi, buf.lo, query, n, threshold);
+}
+
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,
     SquaredEuclideanScalarK,
@@ -171,6 +262,7 @@ constexpr KernelTable kScalarTable = {
     LbKeoghEarlyAbandonScalarK,
     PaaScalarK,
     DtwScalarK,
+    LbImprovedSecondPassScalarK,
 };
 
 #if defined(ODYSSEY_X86)
@@ -371,6 +463,49 @@ ODYSSEY_HOT void PaaSseK(const float* series, size_t n, int segments, double* ou
   }
 }
 
+/// MaxMinPassScalar, four lanes at a time, rounding len up to whole
+/// vectors (see kProjectionSlack).
+inline void MaxMinPass128(float* hi, float* lo, size_t len, size_t shift) {
+  for (size_t i = 0; i < len; i += 4) {
+    _mm_storeu_ps(hi + i, _mm_max_ps(_mm_loadu_ps(hi + i),
+                                     _mm_loadu_ps(hi + i + shift)));
+    _mm_storeu_ps(lo + i, _mm_min_ps(_mm_loadu_ps(lo + i),
+                                     _mm_loadu_ps(lo + i + shift)));
+  }
+}
+
+ODYSSEY_HOT float LbImprovedSecondPassSseK(const float* query,
+                                           const float* upper,
+                                           const float* lower,
+                                           const float* candidate, size_t n,
+                                           size_t window, float threshold,
+                                           float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const ProjectionBuffers buf = PadProjection(n, w, scratch);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 h = _mm_min_ps(
+        _mm_max_ps(_mm_loadu_ps(candidate + i), _mm_loadu_ps(lower + i)),
+        _mm_loadu_ps(upper + i));
+    _mm_storeu_ps(buf.hi + w + i, h);
+    _mm_storeu_ps(buf.lo + w + i, h);
+  }
+  for (; i < n; ++i) {
+    buf.hi[w + i] = buf.lo[w + i] =
+        ClampToBand(candidate[i], lower[i], upper[i]);
+  }
+  const size_t span = 2 * w + 1;
+  size_t len = n + 2 * w;
+  size_t s = 1;
+  for (; 2 * s <= span; s *= 2) {
+    len -= s;
+    MaxMinPass128(buf.hi, buf.lo, len, s);
+  }
+  if (span > s) MaxMinPass128(buf.hi, buf.lo, n, span - s);
+  return LbKeoghEarlyAbandonSseK(buf.hi, buf.lo, query, n, threshold);
+}
+
 constexpr KernelTable kSseTable = {
     Isa::kSse,
     SquaredEuclideanSseK,
@@ -379,6 +514,7 @@ constexpr KernelTable kSseTable = {
     LbKeoghEarlyAbandonSseK,
     PaaSseK,
     DtwScalarK,  // the wavefront kernels start at AVX2
+    LbImprovedSecondPassSseK,
 };
 
 // ----------------------------------------------------------------- AVX2
@@ -639,6 +775,49 @@ ODYSSEY_HOT float DtwAvx2K(const float* a, const float* b, size_t n,
   }
 }
 
+ODYSSEY_TARGET_AVX2 inline void MaxMinPass256(float* hi, float* lo,
+                                               size_t len, size_t shift) {
+  for (size_t i = 0; i < len; i += 8) {
+    _mm256_storeu_ps(hi + i, _mm256_max_ps(_mm256_loadu_ps(hi + i),
+                                           _mm256_loadu_ps(hi + i + shift)));
+    _mm256_storeu_ps(lo + i, _mm256_min_ps(_mm256_loadu_ps(lo + i),
+                                           _mm256_loadu_ps(lo + i + shift)));
+  }
+}
+
+ODYSSEY_TARGET_AVX2
+ODYSSEY_HOT float LbImprovedSecondPassAvx2K(const float* query,
+                                            const float* upper,
+                                            const float* lower,
+                                            const float* candidate, size_t n,
+                                            size_t window, float threshold,
+                                            float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const ProjectionBuffers buf = PadProjection(n, w, scratch);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 h = _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(candidate + i),
+                                                 _mm256_loadu_ps(lower + i)),
+                                   _mm256_loadu_ps(upper + i));
+    _mm256_storeu_ps(buf.hi + w + i, h);
+    _mm256_storeu_ps(buf.lo + w + i, h);
+  }
+  for (; i < n; ++i) {
+    buf.hi[w + i] = buf.lo[w + i] =
+        ClampToBand(candidate[i], lower[i], upper[i]);
+  }
+  const size_t span = 2 * w + 1;
+  size_t len = n + 2 * w;
+  size_t s = 1;
+  for (; 2 * s <= span; s *= 2) {
+    len -= s;
+    MaxMinPass256(buf.hi, buf.lo, len, s);
+  }
+  if (span > s) MaxMinPass256(buf.hi, buf.lo, n, span - s);
+  return LbKeoghEarlyAbandonAvx2K(buf.hi, buf.lo, query, n, threshold);
+}
+
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,
     SquaredEuclideanAvx2K,
@@ -647,6 +826,7 @@ constexpr KernelTable kAvx2Table = {
     LbKeoghEarlyAbandonAvx2K,
     PaaAvx2K,
     DtwAvx2K,
+    LbImprovedSecondPassAvx2K,
 };
 
 bool CpuHasAvx2Fma() {
@@ -874,6 +1054,50 @@ ODYSSEY_HOT float DtwAvx512K(const float* a, const float* b, size_t n,
   }
 }
 
+ODYSSEY_TARGET_AVX512 inline void MaxMinPass512(float* hi, float* lo,
+                                                 size_t len, size_t shift) {
+  for (size_t i = 0; i < len; i += 16) {
+    _mm512_storeu_ps(hi + i, _mm512_max_ps(_mm512_loadu_ps(hi + i),
+                                           _mm512_loadu_ps(hi + i + shift)));
+    _mm512_storeu_ps(lo + i, _mm512_min_ps(_mm512_loadu_ps(lo + i),
+                                           _mm512_loadu_ps(lo + i + shift)));
+  }
+}
+
+ODYSSEY_TARGET_AVX512
+ODYSSEY_HOT float LbImprovedSecondPassAvx512K(const float* query,
+                                              const float* upper,
+                                              const float* lower,
+                                              const float* candidate,
+                                              size_t n, size_t window,
+                                              float threshold,
+                                              float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const ProjectionBuffers buf = PadProjection(n, w, scratch);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 h = _mm512_min_ps(_mm512_max_ps(_mm512_loadu_ps(candidate + i),
+                                                 _mm512_loadu_ps(lower + i)),
+                                   _mm512_loadu_ps(upper + i));
+    _mm512_storeu_ps(buf.hi + w + i, h);
+    _mm512_storeu_ps(buf.lo + w + i, h);
+  }
+  for (; i < n; ++i) {
+    buf.hi[w + i] = buf.lo[w + i] =
+        ClampToBand(candidate[i], lower[i], upper[i]);
+  }
+  const size_t span = 2 * w + 1;
+  size_t len = n + 2 * w;
+  size_t s = 1;
+  for (; 2 * s <= span; s *= 2) {
+    len -= s;
+    MaxMinPass512(buf.hi, buf.lo, len, s);
+  }
+  if (span > s) MaxMinPass512(buf.hi, buf.lo, n, span - s);
+  return LbKeoghEarlyAbandonAvx512K(buf.hi, buf.lo, query, n, threshold);
+}
+
 // PAA delegates to the AVX2 kernel: a 512-bit version measured 3-15%
 // slower than AVX2 on a 4-core AVX-512 host, its short segments leaving the
 // wider vectors little to do.
@@ -885,6 +1109,7 @@ constexpr KernelTable kAvx512Table = {
     LbKeoghEarlyAbandonAvx512K,
     PaaAvx2K,
     DtwAvx512K,
+    LbImprovedSecondPassAvx512K,
 };
 
 bool CpuHasAvx512() {

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 
+#include "src/common/hotpath.h"
+
 namespace odyssey {
 namespace simd {
 
@@ -23,7 +25,7 @@ namespace simd {
 /// series, and early-abandoning variants that return some value >=
 /// `threshold` once the running sum provably crosses it, checked at the
 /// same cadence at every ISA level: every 16 points for Euclidean and
-/// LB_Keogh, every DP row for DTW.
+/// LB_Keogh (and LB_Improved's second pass), every DP row for DTW.
 
 enum class Isa {
   kScalar = 0,
@@ -86,6 +88,24 @@ struct KernelTable {
   /// critical path.
   float (*dtw)(const float* a, const float* b, size_t n, size_t window,
                float threshold, float* scratch);
+
+  /// The second pass of LB_Improved (Lemire, "Faster retrieval with a
+  /// two-pass dynamic-time-warping lower bound", 2009). Projects `candidate`
+  /// onto the query's warping envelope (upper/lower, both length n):
+  /// h = clamp(candidate, lower, upper). Then builds the envelope of h for
+  /// `window` (clamped to n - 1) and returns the squared LB_Keogh of `query`
+  /// against it, early-abandoning as lb_keogh_early_abandon does. Added to
+  /// the candidate's squared LB_Keogh, it gives LB_Improved, which still
+  /// lower-bounds the squared DTW under the same band. `scratch` holds at
+  /// least LbImprovedScratchFloats(n) floats, owned by the caller.
+  ///
+  /// The envelope of h is a sliding max/min by log-doubling passes over
+  /// copies of h padded with -inf/+inf, exact at every ISA level, so the
+  /// levels differ only by the final sum's reassociation, as for LB_Keogh.
+  float (*lb_improved_second_pass)(const float* query, const float* upper,
+                                   const float* lower, const float* candidate,
+                                   size_t n, size_t window, float threshold,
+                                   float* scratch);
 };
 
 /// Most rows one wavefront DTW block sweeps (the AVX-512 lane count).
@@ -97,6 +117,21 @@ constexpr size_t kDtwMaxLanes = 16;
 constexpr size_t DtwScratchFloats(size_t n) {
   return 5 * n + 6 * kDtwMaxLanes;
 }
+
+/// Floats of caller scratch the lb_improved_second_pass slot needs for
+/// length-n series: two copies of the projection padded by the window (at
+/// most n - 1 points) on both sides, plus vector slack and alignment.
+constexpr size_t LbImprovedScratchFloats(size_t n) {
+  return 6 * n + 6 * kDtwMaxLanes;
+}
+
+/// The scalar sliding-window max/min behind lb_improved_second_pass, also
+/// BuildEnvelope's. On entry hi and lo hold a length-n series padded on both
+/// sides by `window` points of -inf (hi) and +inf (lo), n + 2 * window
+/// floats each. On return hi[i] and lo[i], i < n, are the series' maximum
+/// and minimum over [i - window, i + window]. Log-doubling passes in place,
+/// O(n log window); min and max are exact, so the result is too.
+ODYSSEY_HOT void SlidingMaxMin(float* hi, float* lo, size_t n, size_t window);
 
 /// Portable scalar reference kernels — always available, the ground truth
 /// the vector kernels are property-tested against.

@@ -108,21 +108,15 @@ float ApproximateSearchSquaredDtw(const Index& index,
   ODYSSEY_CHECK_MSG(query.has_envelope(),
                     "DTW approximate search needs a DTW-prepared query");
   const TreeNode* leaf = DescendToLeaf(index, query, nullptr);
-  const size_t n = index.config().series_length();
   const size_t window = query.dtw_window();
   const Envelope& envelope = query.envelope();
-  const simd::KernelTable& kernels = simd::ActiveTable();
+  // The exact scan's cascade of lower bounds, then the DP: the bounds prune
+  // without changing the answer.
   return ScanLeaf(index, leaf, query.series(), answer_id,
-                  [n, window, &envelope, &kernels](
-                      const float* q, const float* s, float threshold) {
-                    // LB_Keogh at the running best first, as the exact
-                    // scan's RealDistance does: a lower bound, so it prunes
-                    // without changing the answer.
-                    const float lb = kernels.lb_keogh_early_abandon(
-                        envelope.upper.data(), envelope.lower.data(), s, n,
-                        threshold);
-                    if (lb >= threshold) return lb;
-                    return SquaredDtwEarlyAbandon(q, s, n, window, threshold);
+                  [window, &envelope](const float* q, const float* s,
+                                      float threshold) {
+                    return SquaredDtwCascade(q, envelope, s, window,
+                                             threshold);
                   });
 }
 

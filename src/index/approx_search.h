@@ -33,7 +33,8 @@ float ApproximateSearchSquared(const Index& index, const PreparedQuery& query,
 
 /// DTW variant: identical descent, but real distances are squared DTW with
 /// the query's warping window, each candidate first screened by LB_Keogh
-/// against the query's envelope at the running best. The query must be
+/// and LB_Improved at the running best (SquaredDtwCascade, as the exact
+/// scan does). The query must be
 /// prepared with an envelope. The root fallback still ranks by the PAA
 /// bound (not the envelope), through a local table built on a miss.
 float ApproximateSearchSquaredDtw(const Index& index,

@@ -370,6 +370,7 @@ ODYSSEY_HOT void QueryExecution::ScanLeaf(const TreeNode* leaf) {
   const auto& ids = leaf->ids();
   const SeriesCollection& data = index_->data();
   size_t scored = 0;
+  size_t dtw_runs = 0;
   // A candidate's raw values sit at a scattered position of the chunk, so
   // its distance call would start with a cache and TLB miss. The leaf is
   // scanned in blocks instead: filter the block by its per-series summary
@@ -395,15 +396,19 @@ ODYSSEY_HOT void QueryExecution::ScanLeaf(const TreeNode* leaf) {
     for (size_t j = 0; j < survivors; ++j) {
       const float threshold = PruneThreshold();
       if (survivor_bounds[j] >= threshold) continue;
-      const float d = RealDistance(data.data(survivor_ids[j]), threshold);
+      const float d =
+          RealDistance(data.data(survivor_ids[j]), threshold, &dtw_runs);
       ++scored;
       if (d < threshold) OfferCandidate(d, survivor_ids[j]);
     }
   }
-  // At most one update per leaf: the counter's cache line is shared by
+  // At most one update per leaf and counter: their cache line is shared by
   // every worker of the query.
   if (scored != 0) {
     stat_real_distances_.fetch_add(scored, std::memory_order_relaxed);
+  }
+  if (dtw_runs != 0) {
+    stat_dtw_distances_.fetch_add(dtw_runs, std::memory_order_relaxed);
   }
 }
 
@@ -450,19 +455,14 @@ ODYSSEY_HOT float QueryExecution::SeriesLowerBound(const uint8_t* sax) const {
 }
 
 ODYSSEY_HOT float QueryExecution::RealDistance(const float* series,
-                                               float threshold) const {
-  const size_t n = index_->config().series_length();
+                                               float threshold,
+                                               size_t* dtw_runs) const {
   if (options_.use_dtw) {
-    // LB_Keogh at full resolution first; only survivors pay the DTW DP.
-    const float lb = kernels_->lb_keogh_early_abandon(
-        envelope_->upper.data(), envelope_->lower.data(), series,
-        envelope_->length(), threshold);
-    if (lb >= threshold) return lb;
-    return SquaredDtwEarlyAbandon(series, query_, n, options_.dtw_window,
-                                  threshold);
+    return SquaredDtwCascade(query_, *envelope_, series, options_.dtw_window,
+                             threshold, dtw_runs);
   }
-  return kernels_->squared_euclidean_early_abandon(query_, series, n,
-                                                   threshold);
+  return kernels_->squared_euclidean_early_abandon(
+      query_, series, index_->config().series_length(), threshold);
 }
 
 ODYSSEY_HOT std::vector<int> QueryExecution::StealBatches(int nsend) {
@@ -543,6 +543,7 @@ QueryStats QueryExecution::stats() const {
   stats.leaves_inserted = stat_leaves_inserted_.load();
   stats.leaves_processed = stat_leaves_processed_.load();
   stats.real_distances = stat_real_distances_.load();
+  stats.dtw_distances = stat_dtw_distances_.load();
   {
     MutexLock lock(&steal_mu_);
     stats.queue_count = stat_queue_sizes_.size();

@@ -186,6 +186,9 @@ struct QueryStats {
   size_t leaves_inserted = 0;     ///< leaves pushed into priority queues
   size_t leaves_processed = 0;    ///< leaves popped and scanned
   size_t real_distances = 0;      ///< full distance computations
+  /// DTW DPs run: the real distances (DTW mode only) whose candidate
+  /// passed both LB_Keogh and LB_Improved at the running threshold.
+  size_t dtw_distances = 0;
   size_t queue_count = 0;         ///< priority queues produced
   double median_queue_size = 0.0; ///< median queue size in leaves
   double elapsed_seconds = 0.0;   ///< Run() wall time
@@ -325,7 +328,10 @@ class QueryExecution {
   ODYSSEY_HOT float PruneThreshold() const;
   ODYSSEY_HOT float LeafLowerBound(const TreeNode* node) const;
   ODYSSEY_HOT float SeriesLowerBound(const uint8_t* sax) const;
-  ODYSSEY_HOT float RealDistance(const float* series, float threshold) const;
+  /// ED, or the DTW cascade (SquaredDtwCascade), which bumps *dtw_runs
+  /// when it runs the DP.
+  ODYSSEY_HOT float RealDistance(const float* series, float threshold,
+                                 size_t* dtw_runs) const;
 
   const Index* index_;
   const PreparedQuery* prepared_;
@@ -371,6 +377,7 @@ class QueryExecution {
   std::atomic<size_t> stat_leaves_inserted_{0};
   std::atomic<size_t> stat_leaves_processed_{0};
   std::atomic<size_t> stat_real_distances_{0};
+  std::atomic<size_t> stat_dtw_distances_{0};
   double stat_initial_bsf_ = 0.0;
   double stat_elapsed_seconds_ = 0.0;
   std::vector<double> stat_queue_sizes_ ODYSSEY_GUARDED_BY(steal_mu_);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -199,6 +201,36 @@ TEST(DtwTest, EarlyAbandonExactBelowThreshold) {
   }
 }
 
+// The scan's cascade keeps SquaredDtwEarlyAbandon's contract: exact below
+// the threshold, and a discarded candidate's DTW is at the threshold or
+// above (up to the bounds' rounding). It reports the DPs it ran.
+TEST(DtwTest, CascadeKeepsEarlyAbandonContract) {
+  const SeriesCollection data = GenerateSeismicLike(200, 64, 17);
+  const size_t n = 64;
+  for (size_t window : {0u, 1u, 12u, 63u}) {
+    const Envelope env = BuildEnvelope(data.data(0), n, window);
+    size_t dp_runs = 0, calls = 0, exact_answers = 0;
+    for (size_t i = 1; i < data.size(); ++i) {
+      const float dtw = SquaredDtw(data.data(0), data.data(i), n, window);
+      for (float threshold : {dtw * 2.0f + 1.0f, dtw, dtw * 0.5f}) {
+        const float got = SquaredDtwCascade(data.data(0), env, data.data(i),
+                                            window, threshold, &dp_runs);
+        ++calls;
+        if (got < threshold) {
+          ASSERT_EQ(got, dtw) << "window=" << window << " i=" << i;
+          ++exact_answers;
+        } else {
+          ASSERT_GE(dtw * (1 + 1e-5f) + 1e-6f, threshold)
+              << "window=" << window << " i=" << i;
+        }
+      }
+    }
+    EXPECT_EQ(exact_answers, data.size() - 1) << "window=" << window;
+    EXPECT_LE(dp_runs, calls);
+    EXPECT_GE(dp_runs, exact_answers);
+  }
+}
+
 TEST(DtwTest, WarpingWindowFromFraction) {
   EXPECT_EQ(WarpingWindowFromFraction(256, 0.0), 0u);
   EXPECT_EQ(WarpingWindowFromFraction(256, 0.05), 13u);  // ceil(12.8)
@@ -223,6 +255,31 @@ TEST(LbKeoghTest, EnvelopeMatchesBruteForce) {
       }
       ASSERT_EQ(env.upper[i], mx) << "w=" << w << " i=" << i;
       ASSERT_EQ(env.lower[i], mn) << "w=" << w << " i=" << i;
+    }
+  }
+}
+
+// Every length and window around the log-doubling pass boundaries: spans
+// 2w + 1 just below, at and above powers of two, and windows past n.
+TEST(LbKeoghTest, EnvelopeMatchesBruteForceOnEveryLength) {
+  Rng rng(16);
+  for (size_t n = 1; n <= 70; ++n) {
+    const std::vector<float> q = RandomSeries(&rng, n);
+    for (size_t w : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                     size_t{7}, size_t{8}, size_t{12}, n / 2, n - 1, n,
+                     n + 3}) {
+      const Envelope env = BuildEnvelope(q.data(), n, w);
+      ASSERT_EQ(env.length(), n);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t lo = (i >= w) ? i - w : 0;
+        const size_t hi = std::min(n - 1, i + w);
+        ASSERT_EQ(env.upper[i],
+                  *std::max_element(q.begin() + lo, q.begin() + hi + 1))
+            << "n=" << n << " w=" << w << " i=" << i;
+        ASSERT_EQ(env.lower[i],
+                  *std::min_element(q.begin() + lo, q.begin() + hi + 1))
+            << "n=" << n << " w=" << w << " i=" << i;
+      }
     }
   }
 }
@@ -278,6 +335,126 @@ TEST(LbKeoghTest, BoundChainOnRealisticData) {
       ASSERT_LE(lb, dtw * (1 + 1e-5f) + 1e-6f);
     }
   }
+}
+
+// ----------------------------------------------------------- LB_Improved
+
+/// LB_Improved's second pass by its definition: project the candidate onto
+/// the envelope, take the projection's envelope by brute force, and sum the
+/// query's squared gaps to it in double.
+double ReferenceSecondPass(const std::vector<float>& query,
+                           const Envelope& envelope,
+                           const std::vector<float>& candidate,
+                           size_t window) {
+  const size_t n = query.size();
+  std::vector<float> h(n);
+  for (size_t i = 0; i < n; ++i) {
+    h[i] = std::min(std::max(candidate[i], envelope.lower[i]),
+                    envelope.upper[i]);
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t lo = i >= window ? i - window : 0;
+    const size_t hi = std::min(n - 1, i + window);
+    const float mx = *std::max_element(h.begin() + lo, h.begin() + hi + 1);
+    const float mn = *std::min_element(h.begin() + lo, h.begin() + hi + 1);
+    double gap = 0.0;
+    if (query[i] > mx) gap = query[i] - mx;
+    if (query[i] < mn) gap = mn - query[i];
+    sum += gap * gap;
+  }
+  return sum;
+}
+
+/// Squared LB_Keogh and LB_Improved of `candidate` against `query`, full
+/// (no abandoning), through the dispatched kernels.
+std::pair<float, float> KeoghAndImproved(const std::vector<float>& query,
+                                         const std::vector<float>& candidate,
+                                         size_t window) {
+  const size_t n = query.size();
+  const Envelope env = BuildEnvelope(query.data(), n, window);
+  std::vector<float> scratch(simd::LbImprovedScratchFloats(n));
+  const float keogh = SquaredLbKeogh(env, candidate.data());
+  const float second = simd::ActiveTable().lb_improved_second_pass(
+      query.data(), env.upper.data(), env.lower.data(), candidate.data(), n,
+      window, std::numeric_limits<float>::infinity(), scratch.data());
+  return {keogh, keogh + second};
+}
+
+TEST(LbImprovedTest, ScalarSecondPassMatchesDefinition) {
+  Rng rng(151);
+  for (size_t n = 1; n <= 80; ++n) {
+    for (size_t w : {size_t{0}, size_t{1}, size_t{3}, n / 2, n - 1, n + 5}) {
+      const std::vector<float> q = RandomSeries(&rng, n);
+      const std::vector<float> c = RandomSeries(&rng, n);
+      const Envelope env = BuildEnvelope(q.data(), n, w);
+      std::vector<float> scratch(simd::LbImprovedScratchFloats(n));
+      const float got = simd::ScalarTable().lb_improved_second_pass(
+          q.data(), env.upper.data(), env.lower.data(), c.data(), n, w,
+          std::numeric_limits<float>::infinity(), scratch.data());
+      const double want = ReferenceSecondPass(q, env, c, std::min(w, n - 1));
+      ASSERT_TRUE(NearlyEqual(got, static_cast<float>(want)))
+          << "n=" << n << " w=" << w << ": " << got << " vs " << want;
+    }
+  }
+}
+
+// LB_Keogh <= LB_Improved <= DTW under the same band: the exactness
+// invariant of the DTW scan's cascade, on three kinds of pairs.
+TEST(LbImprovedTest, BoundChainHolds) {
+  constexpr size_t kLength = 128;
+  const size_t w = 12;
+  const SeriesCollection walks = GenerateRandomWalk(40, kLength, 153);
+  const SeriesCollection seismic = GenerateSeismicLike(40, kLength, 155);
+  Rng rng(157);
+  for (const SeriesCollection* data : {&walks, &seismic}) {
+    for (size_t i = 0; i + 1 < data->size(); i += 2) {
+      const std::vector<float> q(data->data(i), data->data(i) + kLength);
+      std::vector<float> c(data->data(i + 1), data->data(i + 1) + kLength);
+      // kind 0: the next series; 1: a noisy copy of q; 2: a noisy copy
+      // shifted by 3 points.
+      for (int kind = 0; kind < 3; ++kind) {
+        for (size_t t = 0; kind > 0 && t < kLength; ++t) {
+          const size_t from = kind == 1 ? t : std::min(kLength - 1, t + 3);
+          c[t] = q[from] + static_cast<float>(0.05 * rng.NextGaussian());
+        }
+        const auto [keogh, improved] = KeoghAndImproved(q, c, w);
+        const float dtw = SquaredDtw(q.data(), c.data(), kLength, w);
+        ASSERT_LE(keogh, improved) << "pair " << i << " kind " << kind;
+        ASSERT_LE(improved, dtw * (1 + 1e-5f) + 1e-6f)
+            << "pair " << i << " kind " << kind;
+      }
+    }
+  }
+}
+
+// Near-duplicates are where the bound must be tight. At window 0 the
+// envelope is the query itself, and LB_Improved reaches the DTW (then the
+// squared ED). At window 12, a copy shifted by 3 points sits inside the
+// query's envelope almost everywhere, so LB_Keogh sees almost nothing of
+// it; the second pass recovers several times more.
+TEST(LbImprovedTest, TightOnNearDuplicates) {
+  constexpr size_t kLength = 128;
+  const SeriesCollection seismic = GenerateSeismicLike(20, kLength, 159);
+  Rng rng(161);
+  double keogh_sum = 0.0, improved_sum = 0.0;
+  for (size_t i = 0; i < seismic.size(); ++i) {
+    const std::vector<float> q(seismic.data(i), seismic.data(i) + kLength);
+    EXPECT_EQ(KeoghAndImproved(q, q, 12).second, 0.0f);
+    std::vector<float> noisy(kLength), shifted(kLength);
+    for (size_t t = 0; t < kLength; ++t) {
+      const float noise = static_cast<float>(0.05 * rng.NextGaussian());
+      noisy[t] = q[t] + noise;
+      shifted[t] = q[std::min(kLength - 1, t + 3)] + noise;
+    }
+    EXPECT_TRUE(NearlyEqual(KeoghAndImproved(q, noisy, 0).second,
+                            SquaredDtw(q.data(), noisy.data(), kLength, 0)))
+        << "series " << i;
+    const auto [keogh, improved] = KeoghAndImproved(q, shifted, 12);
+    keogh_sum += keogh;
+    improved_sum += improved;
+  }
+  EXPECT_GT(improved_sum, 4.0 * keogh_sum);
 }
 
 // ----------------------------------------------------- SIMD kernel layer
@@ -377,6 +554,80 @@ TEST(SimdKernelTest, LbKeoghMatchesScalarOnEveryLengthTo256) {
   }
 }
 
+TEST(SimdKernelTest, LbImprovedMatchesScalarOnEveryLengthTo256) {
+  const simd::KernelTable& scalar = simd::ScalarTable();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const simd::KernelTable* table : VectorTables()) {
+    Rng rng(53);
+    for (size_t n = 1; n <= 256; ++n) {
+      // Exactly sized, so a sanitizer run catches a scratch overrun.
+      std::vector<float> scratch(simd::LbImprovedScratchFloats(n));
+      for (size_t w : {size_t{0}, size_t{1}, size_t{12}, n / 2, n - 1,
+                       n + 5}) {
+        const std::vector<float> q = RandomSeries(&rng, n);
+        const std::vector<float> c = RandomSeries(&rng, n);
+        const Envelope env = BuildEnvelope(q.data(), n, w);
+        auto second_pass = [&](const simd::KernelTable& t, float threshold) {
+          return t.lb_improved_second_pass(q.data(), env.upper.data(),
+                                           env.lower.data(), c.data(), n, w,
+                                           threshold, scratch.data());
+        };
+        const float want = second_pass(scalar, kInf);
+        ASSERT_TRUE(NearlyEqual(second_pass(*table, kInf), want))
+            << simd::IsaName(table->isa) << " n=" << n << " w=" << w;
+        ASSERT_TRUE(NearlyEqual(second_pass(*table, want * 2.0f + 1.0f), want))
+            << simd::IsaName(table->isa) << " n=" << n << " w=" << w;
+        if (want > 0.0f) {
+          ASSERT_GE(second_pass(*table, want / 2.0f) * (1.0f + 1e-4f),
+                    want / 2.0f)
+              << simd::IsaName(table->isa) << " n=" << n << " w=" << w;
+        }
+      }
+    }
+  }
+}
+
+/// Places a copy of values[0, n) (zeros when `values` is null) in `storage`
+/// at a 64-byte boundary plus `misalign` floats, and returns it.
+float* PlaceAt(std::vector<float>* storage, const float* values, size_t n,
+               size_t misalign) {
+  storage->assign(n + 17, 0.0f);
+  float* p = storage->data();
+  while (reinterpret_cast<uintptr_t>(p) % 64 != 0) ++p;
+  p += misalign;
+  if (values != nullptr) std::copy(values, values + n, p);
+  return p;
+}
+
+/// LB_Improved's second pass of query q and candidate c gives bit-identical
+/// results with every operand and the scratch 64-byte aligned and with all
+/// of them one float off. The kernel aligns its own buffers, so the query's
+/// alignment picks the final LB_Keogh sum's path.
+void ExpectLbImprovedIgnoresAlignment(const simd::KernelTable& table,
+                                      const float* q, const float* c,
+                                      size_t n) {
+  for (size_t w : {size_t{8}, size_t{12}}) {
+    const Envelope env = BuildEnvelope(q, n, w);
+    float full[2], abandoned[2];
+    for (size_t misalign : {0, 1}) {
+      std::vector<float> storage[5];
+      const float* pq = PlaceAt(&storage[0], q, n, misalign);
+      const float* pu = PlaceAt(&storage[1], env.upper.data(), n, misalign);
+      const float* pl = PlaceAt(&storage[2], env.lower.data(), n, misalign);
+      const float* pc = PlaceAt(&storage[3], c, n, misalign);
+      float* scratch = PlaceAt(&storage[4], nullptr,
+                               simd::LbImprovedScratchFloats(n), misalign);
+      full[misalign] = table.lb_improved_second_pass(
+          pq, pu, pl, pc, n, w, std::numeric_limits<float>::infinity(),
+          scratch);
+      abandoned[misalign] = table.lb_improved_second_pass(
+          pq, pu, pl, pc, n, w, full[0] * 0.25f, scratch);
+    }
+    ASSERT_EQ(full[0], full[1]) << "n=" << n << " w=" << w;
+    ASSERT_EQ(abandoned[0], abandoned[1]) << "n=" << n << " w=" << w;
+  }
+}
+
 TEST(SimdKernelTest, AlignedFastPathBitIdenticalToUnaligned) {
   // The AVX2 kernels take an aligned-load fast path when every operand sits
   // on a 32-byte boundary and the length is a lane multiple. The fast path
@@ -428,6 +679,7 @@ TEST(SimdKernelTest, AlignedFastPathBitIdenticalToUnaligned) {
                 avx2->lb_keogh_early_abandon(ua, ub, uc, n, threshold))
           << "n=" << n << " threshold=" << threshold;
     }
+    ExpectLbImprovedIgnoresAlignment(*avx2, a, c, n);
   }
   std::free(a);
   std::free(b);
@@ -482,6 +734,7 @@ TEST(SimdKernelTest, Avx512AlignedFastPathBitIdenticalToUnaligned) {
                 avx512->lb_keogh_early_abandon(ua, ub, uc, n, threshold))
           << "n=" << n << " threshold=" << threshold;
     }
+    ExpectLbImprovedIgnoresAlignment(*avx512, a, c, n);
   }
   std::free(a);
   std::free(b);

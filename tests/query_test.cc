@@ -550,6 +550,100 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockEdgeCase{"dtw_k5_t2", true, 5, 2}),
     [](const auto& info) { return std::string(info.param.name); });
 
+// ------------------------------------------------------ DTW bound cascade
+
+struct DtwKnnCase {
+  const char* name;
+  int k;
+  size_t window;
+  int num_threads;
+};
+
+class DtwCascadeKnnTest : public ::testing::TestWithParam<DtwKnnCase> {};
+
+// The scan discards a candidate by LB_Keogh or LB_Improved only when its
+// DTW could not beat the threshold, so DTW k-NN stays exact: at window 0
+// (ED through the DTW path), 12 (5% of a 256-point series' worth of
+// warping, here 19% of 64) and n - 1 (the full matrix), on one worker and
+// on two.
+TEST_P(DtwCascadeKnnTest, AnswersMatchOracle) {
+  const DtwKnnCase mode = GetParam();
+  const SeriesCollection data = GenerateSeismicLike(1500, 64, 4201);
+  const Index index = Index::Build(SeriesCollection(data), TestIndexOptions());
+  const SeriesCollection queries = GenerateUniformQueries(data, 6, 1.0, 4203);
+  QueryOptions qo;
+  qo.num_threads = mode.num_threads;
+  qo.k = mode.k;
+  qo.use_dtw = true;
+  qo.dtw_window = mode.window;
+  const PreparedBatch batch = PrepareBatch(queries, index.config(), qo);
+  ThreadPool pool(2);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<Neighbor> want = testing_utils::BruteForceKnnDtw(
+        data, queries.data(q), mode.k, mode.window);
+    QueryExecution exec(&index, batch.query(q), qo);
+    exec.SeedInitialBsf();
+    exec.Run(mode.num_threads > 1 ? &pool : nullptr);
+    const std::vector<Neighbor> got = exec.results().SortedResults();
+    ASSERT_EQ(got.size(), want.size()) << mode.name << " query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].squared_distance, want[i].squared_distance)
+          << mode.name << " query " << q << " rank " << i;
+      EXPECT_EQ(got[i].id, want[i].id)
+          << mode.name << " query " << q << " rank " << i;
+    }
+    EXPECT_LE(exec.stats().dtw_distances, exec.stats().real_distances)
+        << mode.name << " query " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, DtwCascadeKnnTest,
+    ::testing::Values(DtwKnnCase{"k1_w0_t1", 1, 0, 1},
+                      DtwKnnCase{"k1_w0_t2", 1, 0, 2},
+                      DtwKnnCase{"k1_w12_t1", 1, 12, 1},
+                      DtwKnnCase{"k1_w12_t2", 1, 12, 2},
+                      DtwKnnCase{"k1_w63_t1", 1, 63, 1},
+                      DtwKnnCase{"k1_w63_t2", 1, 63, 2},
+                      DtwKnnCase{"k5_w0_t1", 5, 0, 1},
+                      DtwKnnCase{"k5_w0_t2", 5, 0, 2},
+                      DtwKnnCase{"k5_w12_t1", 5, 12, 1},
+                      DtwKnnCase{"k5_w12_t2", 5, 12, 2},
+                      DtwKnnCase{"k5_w63_t1", 5, 63, 1},
+                      DtwKnnCase{"k5_w63_t2", 5, 63, 2}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// dtw_distances counts the DPs the cascade actually ran. On seismic-like
+// data at window 12 LB_Improved discards some candidates that LB_Keogh let
+// through, so fewer DPs run than real distances are scored; ED runs none.
+TEST(DtwCascadeTest, RunsFewerDpsThanRealDistances) {
+  const SeriesCollection data = GenerateSeismicLike(2000, 64, 4205);
+  const Index index = Index::Build(SeriesCollection(data), TestIndexOptions());
+  const SeriesCollection queries = GenerateUniformQueries(data, 8, 1.0, 4207);
+  for (const bool use_dtw : {true, false}) {
+    QueryOptions qo;
+    qo.num_threads = 1;
+    qo.use_dtw = use_dtw;
+    qo.dtw_window = use_dtw ? 12 : 0;
+    const PreparedBatch batch = PrepareBatch(queries, index.config(), qo);
+    size_t real_distances = 0, dtw_distances = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      QueryExecution exec(&index, batch.query(q), qo);
+      exec.SeedInitialBsf();
+      exec.Run();
+      real_distances += exec.stats().real_distances;
+      dtw_distances += exec.stats().dtw_distances;
+    }
+    ASSERT_GT(real_distances, 0u);
+    if (use_dtw) {
+      EXPECT_GT(dtw_distances, 0u);
+      EXPECT_LT(dtw_distances, real_distances);
+    } else {
+      EXPECT_EQ(dtw_distances, 0u);
+    }
+  }
+}
+
 // The counting allocator itself must be live — allocations inside a hot
 // region are observed, allocations outside (or under an allowance) are
 // not. Without this, the steady-state assertions below could pass

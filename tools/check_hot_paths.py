@@ -61,7 +61,7 @@ FIXTURES = REPO / "tools" / "hotpath_fixtures"
 ALLOWLIST = REPO / "tools" / "hotpath_allowlist.txt"
 
 # Bump to invalidate cached parses when the parser or sink tables change.
-PARSER_VERSION = "1"
+PARSER_VERSION = "2"
 
 CATEGORIES = ("alloc", "lock", "wait", "io", "throw", "indirect")
 
@@ -324,22 +324,37 @@ def parse_struct_slots(text):
     return slots_by_struct
 
 
-def parse_table_inits(text, slots_by_struct):
+# `Type name = { a, b, ... }` with no nested braces or statements: the
+# shape of a kernel table's positional initializer.
+BRACE_INIT = re.compile(r"\b(\w+)\s+(\w+)\s*=?\s*\{([^{};]*)\}")
+
+
+def parse_brace_inits(text):
+    """Every flat aggregate initializer of the file, as candidate tables.
+    They are bound to slots only once every file is parsed, because a
+    table's struct may be declared in another file (KernelTable sits in
+    simd.h, its tables in simd.cc)."""
+    return [{"type": m.group(1), "name": m.group(2),
+             "items": [x.strip() for x in m.group(3).split(",")],
+             "line": line_of(text, m.start())}
+            for m in BRACE_INIT.finditer(text)]
+
+
+def bind_tables(inits, slots_by_struct):
     """Positional aggregate initializers of fn-pointer structs:
-    {table_name: {slot: bound_function_name}}."""
+    {table_name: (struct, {slot: bound_function_name}, line)}."""
     tables = {}
-    struct_alt = "|".join(map(re.escape, slots_by_struct)) or r"\b\B"
-    for m in re.finditer(
-            r"\b(" + struct_alt + r")\s+(\w+)\s*=?\s*\{([^}]*)\}", text):
-        struct, table, body = m.group(1), m.group(2), m.group(3)
-        slots = slots_by_struct[struct]
+    for init in inits:
+        slots = slots_by_struct.get(init["type"])
+        if slots is None:
+            continue
         binding = {}
-        for idx, item in enumerate(x.strip() for x in body.split(",")):
+        for idx, item in enumerate(init["items"]):
             if idx >= len(slots) or not item:
                 continue
             if re.fullmatch(r"[A-Za-z_][\w:]*", item) and "::" not in item:
                 binding[slots[idx]] = item
-        tables[table] = (struct, binding, line_of(text, m.start()))
+        tables[init["name"]] = (init["type"], binding, init["line"])
     return tables
 
 
@@ -415,7 +430,6 @@ def parse_file(path, text):
         i += 1
 
     slots_by_struct = parse_struct_slots(code)
-    tables = parse_table_inits(code, slots_by_struct)
     malformed = [
         {"line": ln, "reason": reason}
         for ln, (cats, reason) in allowances.items()
@@ -426,7 +440,7 @@ def parse_file(path, text):
         "hot_decls": hot_decls,
         "function_fields": sorted(set(FUNCTION_FIELD.findall(code))),
         "slots": slots_by_struct,
-        "tables": tables,
+        "inits": parse_brace_inits(code),
         "malformed_allows": malformed,
     }
 
@@ -462,6 +476,8 @@ class Model:
         self.hot_decl_names = set()
         self.function_fields = set()
         self.slot_names = set()
+        self.slots_by_struct = {}  # fn-pointer struct -> slot names
+        self.inits = []            # (file, candidate table initializers)
         self.slot_bindings = {}    # slot -> {bound function names}
         self.tables = []           # (file, table, struct, binding, line)
         self.malformed = []        # (file, line, reason)
@@ -476,14 +492,22 @@ class Model:
             self.hot_decl_names.add(name)
             self.hot_decl_allows.setdefault(name, []).extend(decl["allows"])
         self.function_fields.update(parsed["function_fields"])
-        for slots in parsed["slots"].values():
+        for struct, slots in parsed["slots"].items():
             self.slot_names.update(slots)
-        for table, (struct, binding, line) in parsed["tables"].items():
-            self.tables.append((rel, table, struct, binding, line))
-            for slot, fname in binding.items():
-                self.slot_bindings.setdefault(slot, set()).add(fname)
+            self.slots_by_struct[struct] = slots
+        self.inits.append((rel, parsed["inits"]))
         for bad in parsed["malformed_allows"]:
             self.malformed.append((rel, bad["line"], bad["reason"]))
+
+    def bind_tables(self):
+        """Binds every file's table initializers to the slot structs of all
+        files; called once every file is added."""
+        for rel, inits in self.inits:
+            tables = bind_tables(inits, self.slots_by_struct)
+            for table, (struct, binding, line) in tables.items():
+                self.tables.append((rel, table, struct, binding, line))
+                for slot, fname in binding.items():
+                    self.slot_bindings.setdefault(slot, set()).add(fname)
 
     def is_hot(self, fn):
         return fn["hot"] or fn["last"] in self.hot_decl_names
@@ -669,6 +693,7 @@ def build_model(paths, cache_dir):
         except ValueError:
             rel = path
         model.add_file(rel, parse_file_cached(path, cache_dir))
+    model.bind_tables()
     return model
 
 
@@ -744,6 +769,9 @@ def self_test():
     expect(lambda f: f.category == "indirect" and
            "not declared ODYSSEY_HOT" in f.detail,
            "hot-closure violation on a table slot")
+    expect(lambda f: f.category == "indirect" and
+           "'SplitKernel'" in f.detail,
+           "hot-closure violation on a table whose struct is in another file")
 
     # 5. ODYSSEY_HOT_ALLOWS scoping: the allowance excuses the function's
     # own body but not its callees.
