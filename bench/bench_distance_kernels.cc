@@ -11,6 +11,8 @@
 // filter-then-prefetch blocks load ahead of scoring. BM_DtwCascade times
 // the DTW scan's bound cascade per candidate: LB_Keogh, LB_Improved's
 // second pass, and the whole cascade with the share reaching the DP.
+// BM_DtwWindow times one DTW DP call per tier and window on the pairs the
+// cascade sends to the DP.
 //
 //   $ ./bench_distance_kernels
 
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -208,6 +211,17 @@ void BM_SquaredDtw256(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
 
+/// `count` noisy copies of archive series (noise 0.1-1.0, as the
+/// benchmark's stream-dtw workload draws them): the DTW fixtures' queries.
+WorkloadOptions NoisyCopyQueries(size_t count) {
+  WorkloadOptions options;
+  options.count = count;
+  options.min_noise = 0.1;
+  options.max_noise = 1.0;
+  options.seed = 131;
+  return options;
+}
+
 /// Seismic-like (query, candidate) pairs for the DTW scan's bound cascade:
 /// a 4096-series archive of 256 points, and 8 queries that are noisy copies
 /// of archive series (noise 0.1-1.0, as the benchmark's stream-dtw
@@ -238,18 +252,9 @@ struct CascadeFixture {
   }
 
  private:
-  static WorkloadOptions QueryOptions() {
-    WorkloadOptions options;
-    options.count = kQueries;
-    options.min_noise = 0.1;
-    options.max_noise = 1.0;
-    options.seed = 131;
-    return options;
-  }
-
   CascadeFixture()
       : archive(GenerateSeismicLike(kArchive, kLength, 127)),
-        queries(GenerateQueries(archive, QueryOptions())) {
+        queries(GenerateQueries(archive, NoisyCopyQueries(kQueries))) {
     for (size_t q = 0; q < kQueries; ++q) {
       envelopes.push_back(BuildEnvelope(queries.data(q), kLength, kWindow));
       thresholds.push_back(testing_utils::BruteForceKnnDtw(
@@ -320,6 +325,83 @@ void BM_DtwCascade(benchmark::State& state) {
                  simd::IsaName(simd::ActiveIsa()));
 }
 BENCHMARK(BM_DtwCascade)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The DTW DP's real traffic at one window: the (query, candidate) pairs of
+/// a 1024-series seismic-like archive and 4 noisy-copy queries (drawn as
+/// CascadeFixture's) that SquaredDtwCascade sends on to the DP at the
+/// query's exact 5th-nearest DTW distance, with that threshold.
+struct DtwWindowFixture {
+  static constexpr size_t kArchive = 1024;
+  static constexpr size_t kQueries = 4;
+  static constexpr int kK = 5;
+
+  SeriesCollection archive;
+  SeriesCollection queries;
+  std::vector<float> thresholds;
+  struct Pair {
+    size_t query;
+    size_t candidate;
+  };
+  std::vector<Pair> dp_pairs;
+
+  explicit DtwWindowFixture(size_t window)
+      : archive(GenerateSeismicLike(kArchive, kLength, 127)),
+        queries(GenerateQueries(archive, NoisyCopyQueries(kQueries))) {
+    for (size_t q = 0; q < kQueries; ++q) {
+      const Envelope env = BuildEnvelope(queries.data(q), kLength, window);
+      thresholds.push_back(testing_utils::BruteForceKnnDtw(
+                               archive, queries.data(q), kK, window)
+                               .back()
+                               .squared_distance);
+      for (size_t c = 0; c < kArchive; ++c) {
+        size_t dp_runs = 0;
+        SquaredDtwCascade(queries.data(q), env, archive.data(c), window,
+                          thresholds[q], &dp_runs);
+        if (dp_runs != 0) dp_pairs.push_back({q, c});
+      }
+    }
+  }
+
+  static const DtwWindowFixture& Get(size_t window) {
+    static std::map<size_t, DtwWindowFixture>& built =
+        *new std::map<size_t, DtwWindowFixture>();
+    return built.try_emplace(window, window).first->second;
+  }
+};
+
+/// One dtw call per pair of DtwWindowFixture, at the tier of Arg 0 (0 =
+/// scalar, 2 = AVX2, 3 = AVX-512) and the window of Arg 1: the DP's cost
+/// per call where the row spacing of the wavefront kernels changes. The
+/// dp_pairs counter is how many pairs reach the DP at that window.
+void BM_DtwWindow(benchmark::State& state) {
+  const simd::KernelTable* table = TableForArg(state.range(0));
+  const size_t window = static_cast<size_t>(state.range(1));
+  const DtwWindowFixture& f = DtwWindowFixture::Get(window);
+  std::vector<float> scratch(simd::DtwScratchFloats(kLength));
+  float checksum = 0.0f;
+  for (auto _ : state) {
+    for (const DtwWindowFixture::Pair& p : f.dp_pairs) {
+      checksum += table->dtw(f.archive.data(p.candidate),
+                             f.queries.data(p.query), kLength, window,
+                             f.thresholds[p.query], scratch.data());
+    }
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.dp_pairs.size()));
+  state.counters["dp_pairs"] = static_cast<double>(f.dp_pairs.size());
+  state.SetLabel(std::string(simd::IsaName(table->isa)) + "/w" +
+                 std::to_string(window));
+}
+BENCHMARK(BM_DtwWindow)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int window : {1, 7, 8, 12, 15, 16, 26, 64, 255}) {
+        b->Args({0, window});
+        if (simd::Avx2Table() != nullptr) b->Args({2, window});
+        if (simd::Avx512Table() != nullptr) b->Args({3, window});
+      }
+    })
     ->Unit(benchmark::kMicrosecond);
 
 /// A real index for the summary-bound benches: 16k random walks of 256

@@ -47,7 +47,7 @@ ODYSSEY_HOT float SquaredDtwCascade(const float* query,
 
 /// Pre-sizes the calling thread's DTW scratch for length-n series: the
 /// larger of simd::DtwScratchFloats(n) (the scalar kernel's two DP rows, or
-/// the wavefront's padded reversed query plus its band row) and
+/// the wide-band wavefront's ring of recent cell and b vectors) and
 /// simd::LbImprovedScratchFloats(n) (the cascade's padded projection). The
 /// executor warm-up calls this on every pool worker so even a worker's
 /// first DTW distance of a batch allocates nothing.

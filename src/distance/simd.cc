@@ -23,6 +23,13 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// The first 64-byte boundary at or after p (at most 15 floats on), where
+/// kernel scratch that vector loops store to starts.
+inline float* AlignTo64(float* p) {
+  while ((reinterpret_cast<uintptr_t>(p) & 63u) != 0) ++p;
+  return p;
+}
+
 // --------------------------------------------------------------- scalar
 
 ODYSSEY_HOT float SquaredEuclideanScalarK(const float* a, const float* b, size_t n) {
@@ -193,8 +200,7 @@ struct ProjectionBuffers {
 };
 
 inline ProjectionBuffers PadProjection(size_t n, size_t w, float* scratch) {
-  float* hi = scratch;
-  while ((reinterpret_cast<uintptr_t>(hi) & 63u) != 0) ++hi;
+  float* hi = AlignTo64(scratch);
   const size_t stride = (n + 2 * w + kProjectionSlack + 15) / 16 * 16;
   float* lo = hi + stride;
   for (size_t m = 0; m < w; ++m) {
@@ -268,81 +274,78 @@ constexpr KernelTable kScalarTable = {
 #if defined(ODYSSEY_X86)
 
 // ------------------------------------------------------- DTW wavefront
-// The AVX2 and AVX-512 DTW kernels sweep the band in blocks of L rows as an
-// anti-diagonal wavefront, lane l owning row i = i0 + l. In band coordinates
-// k = j - i + w (0 <= k <= 2w), lane l computes cell k = t - 2l at step t,
-// so no lane needs another lane's value from the same step:
-//   left = (i, k-1)   the lane's own value from step t-1;
-//   up   = (i-1, k+1) lane l-1's value from step t-1: the previous vector
-//                     shifted up one lane, lane 0 taking the previous
-//                     block's last row at k+1;
-//   diag = (i-1, k)   lane l-1's value from step t-2: the previous up.
-// Lane l reads b_j with j = i0 - w + t - l, which falls as l rises, so b is
-// stored reversed and each step loads its b values with one contiguous
-// load. Cells outside the band or the series cost +inf — the reversed b is
-// padded with -inf, lanes past row n-1 take a = +inf, and the cost is
-// masked to +inf outside 0 <= k <= 2w — so no blend sits on the
-// loop-carried chain. Each cell is d * d + min(min(left, diag), up), the
-// scalar kernel's arithmetic exactly (min is exact), so every cell is
-// bit-identical to it. Each lane also tracks its row's minimum. At most one
-// row completes per step, in row order, so checking the threshold on the
-// lane that completes its row abandons after the same row as the scalar
+// The AVX2 and AVX-512 DTW kernels sweep the band as one continuous
+// anti-diagonal wavefront. Rows are kept in lanes modulo L: lane l owns every
+// row r = l (mod L). In band coordinates k = j - r + w (0 <= k <= 2w), row r
+// starts at step s*r and computes cell k at step s*r + k, so a new row starts
+// every s steps, in the lane its row r - L has just left:
+//   left = (r, k-1)   the lane's own value from step t-1;
+//   up   = (r-1, k+1) lane l-1's value from step t-s+1;
+//   diag = (r-1, k)   lane l-1's value from step t-s: the previous up.
+// "Lane l-1" wraps, lane 0 reading lane L-1, so up is a vector from s-1 steps
+// back rotated up one lane. The spacing is s = max(2, ceil((2w+1)/L)): with
+// s >= 2 up is never from the same step, and a lane's row needs 2w+1 of its
+// s*L steps, so it finishes before its next row starts. s*L is even and
+// 2w+1 odd, so at least one idle step follows the row's last cell k = 2w.
+// Idle steps cost +inf, so their +inf is what the next row in the lane reads
+// as left of its first cell and row r+1 reads as up of its last one. At
+// s = 2 (w <= L - 1) up is the previous vector; s = 3 keeps the last two
+// vectors in registers too, and wider bands keep the last s-1 in a ring.
+//
+// Lane l reads b_j with j = r + k - w. A cell's j equals that of row r-1 at
+// k+1, which lane l-1 met s-1 steps earlier, so the b vector is carried the
+// same way as up: rotated from s-1 steps back. Only the top of the carry
+// chain is new: each step that ends a group of s, one lane sits at its idle
+// cell k = s*L - 1 and takes its b by a masked broadcast. b outside [0, n)
+// reads as -inf, lanes past row n-1 take a = +inf, and the cost is masked to
+// +inf outside 0 <= k <= 2w, so every cell outside the band or the series
+// costs +inf and no blend sits on the loop-carried chain. The virtual row -1
+// is +inf except at (-1, j = -1), the diagonal predecessor of (0, 0), which
+// enters as a 0 in lane 0's diag at step w.
+//
+// Each cell is d * d plus the minimum of left, diag and up, as in the scalar
+// kernel. min is exact, and with no NaN and no -0 among the cells (all sums
+// of squares, or +inf) the order of the two mins changes no bit, so every
+// cell is bit-identical to the scalar kernel's. Each lane also tracks its
+// row's minimum. Rows complete in row order, at most one per step (row r's
+// last cell is at step s*r + min(2w, n-1-r+w)), so checking the threshold on
+// the lane that completes its row abandons after the same row as the scalar
 // kernel, with the same value.
 
-/// A wavefront kernel's view of its scratch (see PrepareDtwWavefront).
-struct DtwWavefront {
-  /// b reversed, rev_b[m] = b[n-1-m], padded with -inf over
-  /// [-(w+L), 0) and [n, n+w+L).
-  const float* rev_b;
-  /// The band row above the current block (row i0-1), indexed by k over
-  /// [-(2L-1), 2w+2L); +inf past 2w. Before the first block it is the
-  /// virtual row -1: 0 at k = w (the diagonal predecessor of (0, 0)).
-  float* band;
-  /// band - (2L-1): step t of a block stores the last lane's step t-1
-  /// value (cell k = t-2L+1 of the block's last row) at sink[t], which
-  /// lane 0 of the current block has already read.
-  float* sink;
-};
-
-/// Lays out scratch for L-lane blocks and clamped window w: the padded
-/// reversed b (n + 2w + 2L floats), then the band row (2w + 4L - 1). At
-/// most 5n + 6L floats, within DtwScratchFloats(n) for L <= kDtwMaxLanes.
-inline DtwWavefront PrepareDtwWavefront(const float* b, size_t n, size_t w,
-                                        size_t lanes, float* scratch) {
-  const size_t pad = w + lanes;
-  float* p = scratch;
-  for (size_t m = 0; m < pad; ++m) *p++ = -kInf;
-  for (size_t m = 0; m < n; ++m) *p++ = b[n - 1 - m];
-  for (size_t m = 0; m < pad; ++m) *p++ = -kInf;
-  float* sink = p;
-  for (size_t m = 0; m < 2 * w + 4 * lanes - 1; ++m) sink[m] = kInf;
-  float* band = sink + 2 * lanes - 1;
-  band[w] = 0.0f;
-  return {scratch + pad, band, sink};
+/// Steps between two row starts for clamped window w and L lanes.
+inline size_t DtwRowSpacing(size_t w, size_t lanes) {
+  const size_t s = (2 * w + 1 + lanes - 1) / lanes;
+  return s < 2 ? 2 : s;
 }
 
-/// Steps a wavefront block runs: all of it, or — in the block holding row
-/// n-1, its lane `rows-1` — only up to that row's final cell k = w.
-inline size_t DtwBlockSteps(size_t w, size_t lanes, size_t rows, bool last) {
-  return last ? w + 2 * (rows - 1) + 1 : 2 * w + 2 * lanes - 1;
+/// b_j, or -inf outside the series, so that the cell costs +inf.
+inline float DtwPaddedB(const float* b, size_t n, ptrdiff_t j) {
+  return j >= 0 && static_cast<size_t>(j) < n ? b[j] : -kInf;
 }
 
-/// Per-lane inputs of the block starting at row i0: a_i, and the band column
-/// of row i's last real cell, min(2w, n-1-i+w), where the row is complete.
-/// Lanes past row n-1 take a = +inf and a column no step reaches.
-inline void DtwBlockLanes(const float* a, size_t n, size_t w, size_t i0,
-                          size_t lanes, float* a_lanes, int32_t* row_end) {
+/// Band column of row r's last real cell, where the row is complete.
+inline int32_t DtwRowEnd(size_t n, size_t w, size_t r) {
+  const size_t last_k = n - 1 - r + w;
+  return static_cast<int32_t>(last_k < 2 * w ? last_k : 2 * w);
+}
+
+/// The b vector at step t, 1-s <= t <= -1, before row 0 starts: lane l then
+/// holds the virtual row l - L at k = t + s * (L - l).
+inline void DtwInitialB(const float* b, size_t n, size_t w, size_t s,
+                        size_t lanes, ptrdiff_t t, float* out) {
   for (size_t l = 0; l < lanes; ++l) {
-    const size_t i = i0 + l;
-    if (i < n) {
-      a_lanes[l] = a[i];
-      const size_t last_k = n - 1 - i + w;
-      row_end[l] = static_cast<int32_t>(last_k < 2 * w ? last_k : 2 * w);
-    } else {
-      a_lanes[l] = kInf;
-      row_end[l] = INT32_MAX;
-    }
+    const ptrdiff_t j = t + static_cast<ptrdiff_t>((s - 1) * (lanes - l)) -
+                        static_cast<ptrdiff_t>(w);
+    out[l] = DtwPaddedB(b, n, j);
   }
+}
+
+/// The b value the lane at its idle cell k = s*L - 1 takes on the step
+/// before row r starts in that lane.
+inline float DtwInsertedB(const float* b, size_t n, size_t w, size_t s,
+                          size_t lanes, size_t r) {
+  return DtwPaddedB(b, n,
+                    static_cast<ptrdiff_t>(r + (s - 1) * lanes - 1 - w));
 }
 
 // ------------------------------------------------------------------ SSE
@@ -713,65 +716,146 @@ ODYSSEY_HOT void PaaAvx2K(const float* series, size_t n, int segments, double* o
   }
 }
 
-ODYSSEY_TARGET_AVX2
-ODYSSEY_HOT float DtwAvx2K(const float* a, const float* b, size_t n,
-                           size_t window, float threshold, float* scratch) {
+/// Rotates x up one lane: lane l takes lane l-1, lane 0 takes lane 7.
+ODYSSEY_TARGET_AVX2 inline __m256 RotateUp256(__m256 x) {
+  return _mm256_permutevar8x32_ps(x, _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6));
+}
+
+/// All-ones in lane `lane`, zero elsewhere: the AVX2 stand-in for a mask.
+ODYSSEY_TARGET_AVX2 inline __m256 LaneMask256(size_t lane) {
+  return _mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(lane))));
+}
+
+/// The 8-lane wavefront (see "DTW wavefront" above) at row spacing s.
+/// kDepth 1 and 2 (s = 2 and 3) keep the cell and b vectors of the last
+/// s-1 steps in registers. kDepth 0 keeps them in `ring`, 64-byte aligned,
+/// for any s: s-1 cell vectors, then s-1 b vectors. Past s = 3,
+/// (s-1) * L < 2w + 1, so the ring fits DtwScratchFloats(n).
+template <size_t kDepth>
+ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
+                                                 const float* b, size_t n,
+                                                 size_t w, size_t s,
+                                                 float threshold,
+                                                 float* ring) {
   constexpr size_t kLanes = 8;
-  if (n == 0) return 0.0f;
-  const size_t w = window < n ? window : n - 1;
-  const DtwWavefront wf = PrepareDtwWavefront(b, n, w, kLanes, scratch);
+  const size_t depth = s - 1;
+  float* const v_ring = ring;
+  float* const b_ring = ring + depth * kLanes;
   const __m256 inf = _mm256_set1_ps(kInf);
-  const __m256i shift_up = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
   const __m256i band_hi = _mm256_set1_epi32(static_cast<int>(2 * w));
   const __m256i one = _mm256_set1_epi32(1);
   const __m256 vthreshold = _mm256_set1_ps(threshold);
-  for (size_t i0 = 0;; i0 += kLanes) {
-    const bool last = i0 + kLanes >= n;
-    const size_t rows = last ? n - i0 : kLanes;
-    const size_t steps = DtwBlockSteps(w, kLanes, rows, last);
-    float a_lanes[kLanes];
-    int32_t row_end_lanes[kLanes];
-    DtwBlockLanes(a, n, w, i0, kLanes, a_lanes, row_end_lanes);
-    const __m256 va = _mm256_loadu_ps(a_lanes);
-    const __m256i row_end = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(row_end_lanes));
-    const float* b_step = wf.rev_b + (n - 1 - i0 + w);
-    __m256i k = _mm256_setr_epi32(0, -2, -4, -6, -8, -10, -12, -14);
-    __m256 v = inf;
-    __m256 diag = _mm256_blend_ps(inf, _mm256_broadcast_ss(wf.band), 0x01);
-    __m256 row_min = inf;
-    float lanes_out[kLanes];
-    for (size_t t = 0; t < steps; ++t) {
-      const __m256 shifted = _mm256_permutevar8x32_ps(v, shift_up);
-      _mm_store_ss(wf.sink + t, _mm256_castps256_ps128(shifted));
-      const __m256 up = _mm256_blend_ps(
-          shifted, _mm256_broadcast_ss(wf.band + t + 1), 0x01);
-      const __m256 d = _mm256_sub_ps(va, _mm256_loadu_ps(b_step - t));
+  constexpr bool kRing = kDepth == 0;
+  // At step t, v holds step t-1's cells and v_prev step t-2's (read at
+  // kDepth 2); b_prev and b_prev2 hold the b vectors of steps t-1 and t-2.
+  __m256 v_prev = inf;
+  __m256 b_prev = inf;
+  __m256 b_prev2 = inf;
+  alignas(32) float initial_b[kLanes];
+  for (size_t i = 0; i < (kRing ? depth : kDepth); ++i) {
+    DtwInitialB(b, n, w, s, kLanes, -1 - static_cast<ptrdiff_t>(i),
+                initial_b);
+    // Ring slot i holds step i - depth: step -1-i sits in slot depth-1-i.
+    if constexpr (kRing) {
+      _mm256_store_ps(v_ring + (depth - 1 - i) * kLanes, inf);
+      _mm256_store_ps(b_ring + (depth - 1 - i) * kLanes,
+                      _mm256_load_ps(initial_b));
+    } else {
+      (i == 0 ? b_prev : b_prev2) = _mm256_load_ps(initial_b);
+    }
+  }
+  __m256 va = inf;
+  __m256 v = inf;
+  __m256 diag = inf;
+  __m256 row_min = inf;
+  __m256i k = _mm256_setzero_si256();
+  __m256i row_end = _mm256_set1_epi32(-1);
+  const size_t last_step = s * (n - 1) + w;
+  const size_t group = kRing ? s : kDepth + 1;  // steps per row start
+  size_t slot = 0;
+  for (size_t row = 0, t = 0;; ++row) {
+    const __m256 start = LaneMask256(row % kLanes);
+    const bool real = row < n;
+    va = _mm256_blendv_ps(va, _mm256_set1_ps(real ? a[row] : kInf), start);
+    row_end = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(row_end),
+        _mm256_castsi256_ps(
+            _mm256_set1_epi32(real ? DtwRowEnd(n, w, row) : -1)),
+        start));
+    k = _mm256_castps_si256(
+        _mm256_andnot_ps(start, _mm256_castsi256_ps(k)));
+    row_min = _mm256_blendv_ps(row_min, inf, start);
+    for (size_t phase = 0; phase < group; ++phase, ++t) {
+      __m256 up;
+      __m256 bv;
+      if constexpr (kRing) {
+        up = RotateUp256(_mm256_load_ps(v_ring + slot * kLanes));
+        bv = RotateUp256(_mm256_load_ps(b_ring + slot * kLanes));
+      } else {
+        up = RotateUp256(kDepth == 1 ? v : v_prev);
+        bv = RotateUp256(kDepth == 1 ? b_prev : b_prev2);
+      }
+      if (phase == group - 1) {
+        bv = _mm256_blendv_ps(
+            bv, _mm256_set1_ps(DtwInsertedB(b, n, w, s, kLanes, row + 1)),
+            LaneMask256((row + 1) % kLanes));
+      }
+      if (t == w) diag = _mm256_blend_ps(diag, _mm256_setzero_ps(), 0x01);
+      const __m256 d = _mm256_sub_ps(va, bv);
       // 0 <= k <= 2w as one unsigned compare: min_epu32(k, 2w) == k.
       const __m256i in_band =
           _mm256_cmpeq_epi32(_mm256_min_epu32(k, band_hi), k);
       const __m256 cost = _mm256_blendv_ps(inf, _mm256_mul_ps(d, d),
                                            _mm256_castsi256_ps(in_band));
-      v = _mm256_add_ps(cost, _mm256_min_ps(_mm256_min_ps(v, diag), up));
+      v_prev = v;
+      // With up from s-1 >= 2 steps back, min(diag, up) is off the chain.
+      v = kDepth == 1
+              ? _mm256_add_ps(cost, _mm256_min_ps(_mm256_min_ps(v, diag), up))
+              : _mm256_add_ps(cost, _mm256_min_ps(v, _mm256_min_ps(diag, up)));
       diag = up;
+      if constexpr (kRing) {
+        _mm256_store_ps(v_ring + slot * kLanes, v);
+        _mm256_store_ps(b_ring + slot * kLanes, bv);
+        if (++slot == depth) slot = 0;
+      } else {
+        b_prev2 = b_prev;
+        b_prev = bv;
+      }
       row_min = _mm256_min_ps(row_min, v);
-      // At most one lane completes its row per step; abandon on it exactly
-      // as the scalar kernel does after that row.
       const int abandon = _mm256_movemask_ps(_mm256_and_ps(
           _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, row_end)),
           _mm256_cmp_ps(row_min, vthreshold, _CMP_GE_OQ)));
       if (abandon != 0) {
-        _mm256_storeu_ps(lanes_out, row_min);
+        alignas(32) float lanes_out[kLanes];
+        _mm256_store_ps(lanes_out, row_min);
         return lanes_out[__builtin_ctz(static_cast<unsigned>(abandon))];
+      }
+      if (t == last_step) {
+        alignas(32) float lanes_out[kLanes];
+        _mm256_store_ps(lanes_out, v);
+        return lanes_out[(n - 1) % kLanes];
       }
       k = _mm256_add_epi32(k, one);
     }
-    if (last) {
-      _mm256_storeu_ps(lanes_out, v);
-      return lanes_out[rows - 1];
-    }
-    _mm_store_ss(wf.sink + steps, _mm256_castps256_ps128(
-                                      _mm256_permutevar8x32_ps(v, shift_up)));
+  }
+}
+
+ODYSSEY_TARGET_AVX2
+ODYSSEY_HOT float DtwAvx2K(const float* a, const float* b, size_t n,
+                           size_t window, float threshold, float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const size_t s = DtwRowSpacing(w, 8);
+  switch (s) {
+    case 2:
+      return DtwWavefront256<1>(a, b, n, w, s, threshold, scratch);
+    case 3:
+      return DtwWavefront256<2>(a, b, n, w, s, threshold, scratch);
+    default:
+      return DtwWavefront256<0>(a, b, n, w, s, threshold,
+                                AlignTo64(scratch));
   }
 }
 
@@ -994,63 +1078,130 @@ ODYSSEY_HOT float LbKeoghEarlyAbandonAvx512K(const float* upper, const float* lo
   return sum;
 }
 
-ODYSSEY_TARGET_AVX512
-ODYSSEY_HOT float DtwAvx512K(const float* a, const float* b, size_t n,
-                             size_t window, float threshold, float* scratch) {
+/// Rotates x up one lane: lane l takes lane l-1, lane 0 takes lane 15
+/// (valignd of x with itself).
+ODYSSEY_TARGET_AVX512 inline __m512 RotateUp512(__m512 x) {
+  const __m512i xi = _mm512_castps_si512(x);
+  return _mm512_castsi512_ps(_mm512_alignr_epi32(xi, xi, 15));
+}
+
+/// The 16-lane wavefront (see "DTW wavefront" above), as DtwWavefront256.
+template <size_t kDepth>
+ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
+                                                   const float* b, size_t n,
+                                                   size_t w, size_t s,
+                                                   float threshold,
+                                                   float* ring) {
   constexpr size_t kLanes = 16;
-  static_assert(kLanes <= kDtwMaxLanes, "DtwScratchFloats sizes 16 lanes");
-  if (n == 0) return 0.0f;
-  const size_t w = window < n ? window : n - 1;
-  const DtwWavefront wf = PrepareDtwWavefront(b, n, w, kLanes, scratch);
+  const size_t depth = s - 1;
+  float* const v_ring = ring;
+  float* const b_ring = ring + depth * kLanes;
   const __m512 inf = _mm512_set1_ps(kInf);
-  const __m512i last_lane = _mm512_set1_epi32(15);
   const __m512i band_hi = _mm512_set1_epi32(static_cast<int>(2 * w));
   const __m512i one = _mm512_set1_epi32(1);
   const __m512 vthreshold = _mm512_set1_ps(threshold);
-  for (size_t i0 = 0;; i0 += kLanes) {
-    const bool last = i0 + kLanes >= n;
-    const size_t rows = last ? n - i0 : kLanes;
-    const size_t steps = DtwBlockSteps(w, kLanes, rows, last);
-    float a_lanes[kLanes];
-    int32_t row_end_lanes[kLanes];
-    DtwBlockLanes(a, n, w, i0, kLanes, a_lanes, row_end_lanes);
-    const __m512 va = _mm512_loadu_ps(a_lanes);
-    const __m512i row_end = _mm512_loadu_si512(row_end_lanes);
-    const float* b_step = wf.rev_b + (n - 1 - i0 + w);
-    __m512i k = _mm512_setr_epi32(0, -2, -4, -6, -8, -10, -12, -14, -16, -18,
-                                  -20, -22, -24, -26, -28, -30);
-    __m512 v = inf;
-    __m512 diag = _mm512_mask_mov_ps(inf, 1, _mm512_set1_ps(wf.band[0]));
-    __m512 row_min = inf;
-    float lanes_out[kLanes];
-    for (size_t t = 0; t < steps; ++t) {
-      _mm_store_ss(wf.sink + t, _mm512_castps512_ps128(
-                                    _mm512_permutexvar_ps(last_lane, v)));
-      // valignd shifts v up one lane and fills lane 0 in one instruction.
-      const __m512 up = _mm512_castsi512_ps(_mm512_alignr_epi32(
-          _mm512_castps_si512(v),
-          _mm512_castps_si512(_mm512_set1_ps(wf.band[t + 1])), 15));
-      const __m512 d = _mm512_sub_ps(va, _mm512_loadu_ps(b_step - t));
+  constexpr bool kRing = kDepth == 0;
+  // At step t, v holds step t-1's cells and v_prev step t-2's (read at
+  // kDepth 2); b_prev and b_prev2 hold the b vectors of steps t-1 and t-2.
+  __m512 v_prev = inf;
+  __m512 b_prev = inf;
+  __m512 b_prev2 = inf;
+  alignas(64) float initial_b[kLanes];
+  for (size_t i = 0; i < (kRing ? depth : kDepth); ++i) {
+    DtwInitialB(b, n, w, s, kLanes, -1 - static_cast<ptrdiff_t>(i),
+                initial_b);
+    // Ring slot i holds step i - depth: step -1-i sits in slot depth-1-i.
+    if constexpr (kRing) {
+      _mm512_store_ps(v_ring + (depth - 1 - i) * kLanes, inf);
+      _mm512_store_ps(b_ring + (depth - 1 - i) * kLanes,
+                      _mm512_load_ps(initial_b));
+    } else {
+      (i == 0 ? b_prev : b_prev2) = _mm512_load_ps(initial_b);
+    }
+  }
+  __m512 va = inf;
+  __m512 v = inf;
+  __m512 diag = inf;
+  __m512 row_min = inf;
+  __m512i k = _mm512_setzero_si512();
+  __m512i row_end = _mm512_set1_epi32(-1);
+  const size_t last_step = s * (n - 1) + w;
+  const size_t group = kRing ? s : kDepth + 1;  // steps per row start
+  size_t slot = 0;
+  for (size_t row = 0, t = 0;; ++row) {
+    const __mmask16 start = static_cast<__mmask16>(1u << (row % kLanes));
+    const bool real = row < n;
+    va = _mm512_mask_mov_ps(va, start, _mm512_set1_ps(real ? a[row] : kInf));
+    row_end = _mm512_mask_mov_epi32(
+        row_end, start, _mm512_set1_epi32(real ? DtwRowEnd(n, w, row) : -1));
+    k = _mm512_maskz_mov_epi32(static_cast<__mmask16>(~start), k);
+    row_min = _mm512_mask_mov_ps(row_min, start, inf);
+    for (size_t phase = 0; phase < group; ++phase, ++t) {
+      __m512 up;
+      __m512 bv;
+      if constexpr (kRing) {
+        up = RotateUp512(_mm512_load_ps(v_ring + slot * kLanes));
+        bv = RotateUp512(_mm512_load_ps(b_ring + slot * kLanes));
+      } else {
+        up = RotateUp512(kDepth == 1 ? v : v_prev);
+        bv = RotateUp512(kDepth == 1 ? b_prev : b_prev2);
+      }
+      if (phase == group - 1) {
+        bv = _mm512_mask_mov_ps(
+            bv, static_cast<__mmask16>(1u << ((row + 1) % kLanes)),
+            _mm512_set1_ps(DtwInsertedB(b, n, w, s, kLanes, row + 1)));
+      }
+      if (t == w) diag = _mm512_mask_mov_ps(diag, 1, _mm512_setzero_ps());
+      const __m512 d = _mm512_sub_ps(va, bv);
       const __mmask16 in_band = _mm512_cmple_epu32_mask(k, band_hi);
       const __m512 cost = _mm512_mask_mul_ps(inf, in_band, d, d);
-      v = _mm512_add_ps(cost, _mm512_min_ps(_mm512_min_ps(v, diag), up));
+      v_prev = v;
+      // With up from s-1 >= 2 steps back, min(diag, up) is off the chain.
+      v = kDepth == 1
+              ? _mm512_add_ps(cost, _mm512_min_ps(_mm512_min_ps(v, diag), up))
+              : _mm512_add_ps(cost, _mm512_min_ps(v, _mm512_min_ps(diag, up)));
       diag = up;
+      if constexpr (kRing) {
+        _mm512_store_ps(v_ring + slot * kLanes, v);
+        _mm512_store_ps(b_ring + slot * kLanes, bv);
+        if (++slot == depth) slot = 0;
+      } else {
+        b_prev2 = b_prev;
+        b_prev = bv;
+      }
       row_min = _mm512_min_ps(row_min, v);
       const __mmask16 abandon = _mm512_mask_cmp_ps_mask(
           _mm512_cmpeq_epi32_mask(k, row_end), row_min, vthreshold,
           _CMP_GE_OQ);
       if (abandon != 0) {
-        _mm512_storeu_ps(lanes_out, row_min);
+        alignas(64) float lanes_out[kLanes];
+        _mm512_store_ps(lanes_out, row_min);
         return lanes_out[__builtin_ctz(abandon)];
+      }
+      if (t == last_step) {
+        alignas(64) float lanes_out[kLanes];
+        _mm512_store_ps(lanes_out, v);
+        return lanes_out[(n - 1) % kLanes];
       }
       k = _mm512_add_epi32(k, one);
     }
-    if (last) {
-      _mm512_storeu_ps(lanes_out, v);
-      return lanes_out[rows - 1];
-    }
-    _mm_store_ss(wf.sink + steps, _mm512_castps512_ps128(
-                                      _mm512_permutexvar_ps(last_lane, v)));
+  }
+}
+
+ODYSSEY_TARGET_AVX512
+ODYSSEY_HOT float DtwAvx512K(const float* a, const float* b, size_t n,
+                             size_t window, float threshold, float* scratch) {
+  if (n == 0) return 0.0f;
+  const size_t w = window < n ? window : n - 1;
+  const size_t s = DtwRowSpacing(w, 16);
+  switch (s) {
+    case 2:
+      return DtwWavefront512<1>(a, b, n, w, s, threshold, scratch);
+    case 3:
+      return DtwWavefront512<2>(a, b, n, w, s, threshold, scratch);
+    default:
+      return DtwWavefront512<0>(a, b, n, w, s, threshold,
+                                AlignTo64(scratch));
   }
 }
 

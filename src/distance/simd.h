@@ -83,9 +83,10 @@ struct KernelTable {
   /// FMA), and every level abandons after the same row, so results —
   /// abandoned or not — are bit-identical at every ISA level. The scalar
   /// kernel (shared by SSE) walks the band row by row. The AVX2/AVX-512
-  /// kernels sweep blocks of 8/16 rows as an anti-diagonal wavefront, one
-  /// row per lane, which takes the DP's add-min chain off the per-cell
-  /// critical path.
+  /// kernels sweep it as one continuous anti-diagonal wavefront: rows sit in
+  /// the 8/16 lanes modulo the lane count, and a lane starts its next row as
+  /// soon as it finishes one, a new row every max(2, ceil((2w+1)/lanes))
+  /// steps. That takes the DP's add-min chain off the per-cell critical path.
   float (*dtw)(const float* a, const float* b, size_t n, size_t window,
                float threshold, float* scratch);
 
@@ -108,14 +109,15 @@ struct KernelTable {
                                    float* scratch);
 };
 
-/// Most rows one wavefront DTW block sweeps (the AVX-512 lane count).
+/// Most lanes a wavefront DTW kernel keeps rows in (the AVX-512 lane count).
 constexpr size_t kDtwMaxLanes = 16;
 
 /// Floats of caller scratch the dtw slot needs for length-n series, at every
-/// ISA level: the scalar kernel's two DP rows, or the wavefront's padded
-/// reversed query plus its band-row buffer.
+/// ISA level: the scalar kernel's two DP rows, or the wide-band wavefront's
+/// ring of recent cell and b vectors (at most 4w floats, plus up to 15 to
+/// align it to 64 bytes; narrow bands need none).
 constexpr size_t DtwScratchFloats(size_t n) {
-  return 5 * n + 6 * kDtwMaxLanes;
+  return 4 * n + kDtwMaxLanes;
 }
 
 /// Floats of caller scratch the lb_improved_second_pass slot needs for

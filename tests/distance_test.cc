@@ -744,13 +744,46 @@ TEST(SimdKernelTest, Avx512AlignedFastPathBitIdenticalToUnaligned) {
   std::free(uc - 1);
 }
 
+/// The minimum of every row of the banded DTW DP, written from the
+/// recurrence over the whole n x n matrix: the thresholds at which an
+/// early-abandoning kernel stops after each row. Row minima never fall
+/// (every cell adds a cost to a cell of its own or the previous row).
+std::vector<float> DtwRowMinima(const float* a, const float* b, size_t n,
+                                size_t window) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const size_t w = std::min(window, n - 1);
+  std::vector<float> prev(n, kInf), cur(n, kInf), minima(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      if ((i > j ? i - j : j - i) > w) {
+        cur[j] = kInf;
+        continue;
+      }
+      float best = i == 0 && j == 0 ? 0.0f : kInf;
+      if (i > 0) best = std::min(best, prev[j]);
+      if (i > 0 && j > 0) best = std::min(best, prev[j - 1]);
+      if (j > 0) best = std::min(best, cur[j - 1]);
+      const float d = a[i] - b[j];
+      cur[j] = d * d + best;
+    }
+    minima[i] = *std::min_element(cur.begin(), cur.end());
+    std::swap(prev, cur);
+  }
+  return minima;
+}
+
 TEST(SimdKernelTest, DtwBitIdenticalToScalar) {
   // Every cell is d*d + min(diag, up, left) with mul (not FMA) at every ISA
   // level, and every level abandons after the same row with that row's
   // minimum, so each result must match the scalar kernel bit for bit —
-  // exact EQ, no tolerance. The lengths sit below, at and past the 8- and
-  // 16-lane block sizes of the wavefront kernels; the windows run from
-  // Euclidean (0) through the full matrix (>= n).
+  // exact EQ, no tolerance. The lengths sit below, at and past the 8 and 16
+  // lanes of the wavefront kernels. The windows run from Euclidean (0)
+  // through the full matrix (>= n) and cross the wavefront's changes of
+  // row spacing s = max(2, ceil((2w+1)/lanes)): 7/8 and 15/16 (s = 2 to 3
+  // on AVX2 and AVX-512), 11/12 and 23/24 (registers to the scratch ring
+  // on AVX2 and AVX-512), and 26 and 64 deeper in the ring. The
+  // thresholds sweep every distinct row minimum of a reference DP, so the
+  // kernels abandon after each row in turn, the last one included.
   constexpr float kInf = std::numeric_limits<float>::infinity();
   const simd::KernelTable& scalar = simd::ScalarTable();
   std::vector<size_t> lengths;
@@ -770,8 +803,10 @@ TEST(SimdKernelTest, DtwBitIdenticalToScalar) {
           b[i] = shape == 0 ? static_cast<float>(rng.NextGaussian())
                             : static_cast<float>(rng.NextBounded(4)) * 0.5f;
         }
-        for (size_t window : {size_t{0}, size_t{1}, size_t{2}, size_t{12},
-                              n - 1, n, n + 5}) {
+        for (size_t window : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                              size_t{8}, size_t{11}, size_t{12}, size_t{15},
+                              size_t{16}, size_t{23}, size_t{24}, size_t{26},
+                              size_t{64}, n - 1, n, n + 5}) {
           const auto dtw = [&](const simd::KernelTable& t,
                                std::vector<float>* scratch, float threshold) {
             return t.dtw(a.data(), b.data(), n, window, threshold,
@@ -784,14 +819,20 @@ TEST(SimdKernelTest, DtwBitIdenticalToScalar) {
           ASSERT_EQ(dtw(*table, &got_scratch, std::nextafter(exact, kInf)),
                     exact)
               << simd::IsaName(table->isa) << " n=" << n << " w=" << window;
-          for (float threshold : {exact, exact / 2}) {
+          std::vector<float> thresholds =
+              DtwRowMinima(a.data(), b.data(), n, window);
+          thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
+                           thresholds.end());
+          thresholds.push_back(exact);
+          thresholds.push_back(exact / 2);
+          for (float threshold : thresholds) {
             const float abandoned = dtw(*table, &got_scratch, threshold);
             ASSERT_GE(abandoned, threshold)
                 << simd::IsaName(table->isa) << " n=" << n
-                << " w=" << window;
+                << " w=" << window << " threshold=" << threshold;
             ASSERT_EQ(abandoned, dtw(scalar, &want_scratch, threshold))
                 << simd::IsaName(table->isa) << " n=" << n
-                << " w=" << window;
+                << " w=" << window << " threshold=" << threshold;
           }
         }
       }
