@@ -22,6 +22,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -212,7 +213,7 @@ void BM_SquaredDtw256(benchmark::State& state) {
 BENCHMARK(BM_SquaredDtw256)->Unit(benchmark::kMillisecond);
 
 /// `count` noisy copies of archive series (noise 0.1-1.0, as the
-/// benchmark's stream-dtw workload draws them): the DTW fixtures' queries.
+/// benchmark's stream-dtw workload draws them): DtwFixture's queries.
 WorkloadOptions NoisyCopyQueries(size_t count) {
   WorkloadOptions options;
   options.count = count;
@@ -222,60 +223,70 @@ WorkloadOptions NoisyCopyQueries(size_t count) {
   return options;
 }
 
-/// Seismic-like (query, candidate) pairs for the DTW scan's bound cascade:
-/// a 4096-series archive of 256 points, and 8 queries that are noisy copies
-/// of archive series (noise 0.1-1.0, as the benchmark's stream-dtw
-/// workload draws them), each with its window-12 envelope and its exact
-/// 5th-nearest DTW distance, where a converged scan abandons.
-struct CascadeFixture {
-  static constexpr size_t kArchive = 4096;
-  static constexpr size_t kQueries = 8;
-  static constexpr size_t kWindow = 12;
+/// Seismic-like (query, candidate) pairs for the DTW scan's bound cascade
+/// and DP: an archive of 256-point series, and queries that are noisy
+/// copies of archive series (see NoisyCopyQueries), each with its envelope
+/// and its exact 5th-nearest DTW distance at the window, where a converged
+/// scan abandons. Built once per (archive size, query count, window).
+struct DtwFixture {
   static constexpr int kK = 5;
 
+  size_t window;
   SeriesCollection archive;
   SeriesCollection queries;
   std::vector<Envelope> envelopes;
   std::vector<float> thresholds;
-  /// The pairs whose LB_Keogh stays below the threshold, with that bound:
-  /// the calls the second pass gets.
-  struct Survivor {
+  struct Pair {
     size_t query;
     size_t candidate;
     float keogh;
   };
-  std::vector<Survivor> keogh_survivors;
+  /// The pairs whose LB_Keogh stays below the threshold, with that bound:
+  /// the calls the second pass gets.
+  std::vector<Pair> keogh_survivors;
+  /// The pairs SquaredDtwCascade sends on to the DP.
+  std::vector<Pair> dp_pairs;
 
-  static const CascadeFixture& Get() {
-    static const CascadeFixture& fixture = *new CascadeFixture();
-    return fixture;
-  }
-
- private:
-  CascadeFixture()
-      : archive(GenerateSeismicLike(kArchive, kLength, 127)),
-        queries(GenerateQueries(archive, NoisyCopyQueries(kQueries))) {
-    for (size_t q = 0; q < kQueries; ++q) {
-      envelopes.push_back(BuildEnvelope(queries.data(q), kLength, kWindow));
+  DtwFixture(size_t archive_size, size_t query_count, size_t w)
+      : window(w),
+        archive(GenerateSeismicLike(archive_size, kLength, 127)),
+        queries(GenerateQueries(archive, NoisyCopyQueries(query_count))) {
+    for (size_t q = 0; q < query_count; ++q) {
+      envelopes.push_back(BuildEnvelope(queries.data(q), kLength, window));
       thresholds.push_back(testing_utils::BruteForceKnnDtw(
-                               archive, queries.data(q), kK, kWindow)
+                               archive, queries.data(q), kK, window)
                                .back()
                                .squared_distance);
-      for (size_t c = 0; c < kArchive; ++c) {
+      for (size_t c = 0; c < archive_size; ++c) {
         const float keogh = SquaredLbKeogh(envelopes[q], archive.data(c));
-        if (keogh < thresholds[q]) keogh_survivors.push_back({q, c, keogh});
+        if (keogh >= thresholds[q]) continue;
+        keogh_survivors.push_back({q, c, keogh});
+        size_t dp_runs = 0;
+        SquaredDtwCascade(queries.data(q), envelopes[q], archive.data(c),
+                          window, thresholds[q], &dp_runs);
+        if (dp_runs != 0) dp_pairs.push_back({q, c, keogh});
       }
     }
   }
+
+  static const DtwFixture& Get(size_t archive_size, size_t query_count,
+                               size_t window) {
+    static std::map<std::tuple<size_t, size_t, size_t>, DtwFixture>& built =
+        *new std::map<std::tuple<size_t, size_t, size_t>, DtwFixture>();
+    return built
+        .try_emplace(std::make_tuple(archive_size, query_count, window),
+                     archive_size, query_count, window)
+        .first->second;
+  }
 };
 
-/// The DTW scan's cascade per candidate, at the dispatched ISA: Arg 0 times
-/// LB_Keogh on every pair, Arg 1 LB_Improved's second pass on the pairs
-/// LB_Keogh lets through (per call), Arg 2 the whole SquaredDtwCascade on
-/// every pair. The dp_share counter is the share of all pairs that reach
+/// The DTW scan's cascade per candidate (4096-series archive, 8 queries,
+/// window 12), at the dispatched ISA: Arg 0 times LB_Keogh on every pair,
+/// Arg 1 LB_Improved's second pass on the pairs LB_Keogh lets through (per
+/// call), Arg 2 the whole SquaredDtwCascade on every pair. The dp_share counter is the share of all pairs that reach
 /// the DTW DP; keogh_pass is the share LB_Keogh lets through.
 void BM_DtwCascade(benchmark::State& state) {
-  const CascadeFixture& f = CascadeFixture::Get();
+  const DtwFixture& f = DtwFixture::Get(4096, 8, 12);
   const simd::KernelTable& kernels = simd::ActiveTable();
   const int64_t mode = state.range(0);
   std::vector<float> scratch(simd::LbImprovedScratchFloats(kLength));
@@ -284,35 +295,35 @@ void BM_DtwCascade(benchmark::State& state) {
   size_t items = 0;
   for (auto _ : state) {
     if (mode == 1) {
-      for (const CascadeFixture::Survivor& p : f.keogh_survivors) {
+      for (const DtwFixture::Pair& p : f.keogh_survivors) {
         const Envelope& env = f.envelopes[p.query];
         checksum += kernels.lb_improved_second_pass(
             f.queries.data(p.query), env.upper.data(), env.lower.data(),
-            f.archive.data(p.candidate), kLength, CascadeFixture::kWindow,
+            f.archive.data(p.candidate), kLength, f.window,
             f.thresholds[p.query] - p.keogh, scratch.data());
       }
       items += f.keogh_survivors.size();
       continue;
     }
-    for (size_t q = 0; q < CascadeFixture::kQueries; ++q) {
+    for (size_t q = 0; q < f.queries.size(); ++q) {
       const Envelope& env = f.envelopes[q];
-      for (size_t c = 0; c < CascadeFixture::kArchive; ++c) {
+      for (size_t c = 0; c < f.archive.size(); ++c) {
         checksum +=
             mode == 0
                 ? kernels.lb_keogh_early_abandon(
                       env.upper.data(), env.lower.data(), f.archive.data(c),
                       kLength, f.thresholds[q])
                 : SquaredDtwCascade(f.queries.data(q), env, f.archive.data(c),
-                                    CascadeFixture::kWindow, f.thresholds[q],
+                                    f.window, f.thresholds[q],
                                     &dp_runs);
       }
     }
-    items += CascadeFixture::kQueries * CascadeFixture::kArchive;
+    items += f.queries.size() * f.archive.size();
   }
   benchmark::DoNotOptimize(checksum);
   state.SetItemsProcessed(static_cast<int64_t>(items));
-  const double pairs = static_cast<double>(CascadeFixture::kQueries *
-                                           CascadeFixture::kArchive);
+  const double pairs =
+      static_cast<double>(f.queries.size() * f.archive.size());
   state.counters["keogh_pass"] =
       static_cast<double>(f.keogh_survivors.size()) / pairs;
   if (mode == 2 && state.iterations() > 0) {
@@ -327,61 +338,19 @@ void BM_DtwCascade(benchmark::State& state) {
 BENCHMARK(BM_DtwCascade)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
-/// The DTW DP's real traffic at one window: the (query, candidate) pairs of
-/// a 1024-series seismic-like archive and 4 noisy-copy queries (drawn as
-/// CascadeFixture's) that SquaredDtwCascade sends on to the DP at the
-/// query's exact 5th-nearest DTW distance, with that threshold.
-struct DtwWindowFixture {
-  static constexpr size_t kArchive = 1024;
-  static constexpr size_t kQueries = 4;
-  static constexpr int kK = 5;
-
-  SeriesCollection archive;
-  SeriesCollection queries;
-  std::vector<float> thresholds;
-  struct Pair {
-    size_t query;
-    size_t candidate;
-  };
-  std::vector<Pair> dp_pairs;
-
-  explicit DtwWindowFixture(size_t window)
-      : archive(GenerateSeismicLike(kArchive, kLength, 127)),
-        queries(GenerateQueries(archive, NoisyCopyQueries(kQueries))) {
-    for (size_t q = 0; q < kQueries; ++q) {
-      const Envelope env = BuildEnvelope(queries.data(q), kLength, window);
-      thresholds.push_back(testing_utils::BruteForceKnnDtw(
-                               archive, queries.data(q), kK, window)
-                               .back()
-                               .squared_distance);
-      for (size_t c = 0; c < kArchive; ++c) {
-        size_t dp_runs = 0;
-        SquaredDtwCascade(queries.data(q), env, archive.data(c), window,
-                          thresholds[q], &dp_runs);
-        if (dp_runs != 0) dp_pairs.push_back({q, c});
-      }
-    }
-  }
-
-  static const DtwWindowFixture& Get(size_t window) {
-    static std::map<size_t, DtwWindowFixture>& built =
-        *new std::map<size_t, DtwWindowFixture>();
-    return built.try_emplace(window, window).first->second;
-  }
-};
-
-/// One dtw call per pair of DtwWindowFixture, at the tier of Arg 0 (0 =
-/// scalar, 2 = AVX2, 3 = AVX-512) and the window of Arg 1: the DP's cost
-/// per call where the row spacing of the wavefront kernels changes. The
-/// dp_pairs counter is how many pairs reach the DP at that window.
+/// One dtw call per pair that the cascade sends to the DP (1024-series
+/// archive, 4 queries), at the tier of Arg 0 (0 = scalar, 2 = AVX2,
+/// 3 = AVX-512) and the window of Arg 1: the DP's cost per call where the
+/// row spacing of the wavefront kernels changes. The dp_pairs counter is
+/// how many pairs reach the DP at that window.
 void BM_DtwWindow(benchmark::State& state) {
   const simd::KernelTable* table = TableForArg(state.range(0));
   const size_t window = static_cast<size_t>(state.range(1));
-  const DtwWindowFixture& f = DtwWindowFixture::Get(window);
+  const DtwFixture& f = DtwFixture::Get(1024, 4, window);
   std::vector<float> scratch(simd::DtwScratchFloats(kLength));
   float checksum = 0.0f;
   for (auto _ : state) {
-    for (const DtwWindowFixture::Pair& p : f.dp_pairs) {
+    for (const DtwFixture::Pair& p : f.dp_pairs) {
       checksum += table->dtw(f.archive.data(p.candidate),
                              f.queries.data(p.query), kLength, window,
                              f.thresholds[p.query], scratch.data());

@@ -289,8 +289,8 @@ constexpr KernelTable kScalarTable = {
 // 2w+1 odd, so at least one idle step follows the row's last cell k = 2w.
 // Idle steps cost +inf, so their +inf is what the next row in the lane reads
 // as left of its first cell and row r+1 reads as up of its last one. At
-// s = 2 (w <= L - 1) up is the previous vector; s = 3 keeps the last two
-// vectors in registers too, and wider bands keep the last s-1 in a ring.
+// s = 2 (w <= L - 1) up is the previous vector, held in a register; wider
+// bands keep the last s-1 vectors in a ring in the caller's scratch.
 //
 // Lane l reads b_j with j = r + k - w. A cell's j equals that of row r-1 at
 // k+1, which lane l-1 met s-1 steps earlier, so the b vector is carried the
@@ -729,11 +729,12 @@ ODYSSEY_TARGET_AVX2 inline __m256 LaneMask256(size_t lane) {
 }
 
 /// The 8-lane wavefront (see "DTW wavefront" above) at row spacing s.
-/// kDepth 1 and 2 (s = 2 and 3) keep the cell and b vectors of the last
-/// s-1 steps in registers. kDepth 0 keeps them in `ring`, 64-byte aligned,
-/// for any s: s-1 cell vectors, then s-1 b vectors. Past s = 3,
-/// (s-1) * L < 2w + 1, so the ring fits DtwScratchFloats(n).
-template <size_t kDepth>
+/// Without kRing (s = 2) up and b come from the previous step's registers.
+/// With kRing (any s >= 3) the last s-1 steps' vectors sit in `ring`,
+/// 64-byte aligned: s-1 cell vectors, then s-1 b vectors. As s is
+/// ceil((2w+1)/L) there, (s-1) * L < 2w + 1, so the ring fits
+/// DtwScratchFloats(n).
+template <bool kRing>
 ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
                                                  const float* b, size_t n,
                                                  size_t w, size_t s,
@@ -747,14 +748,10 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
   const __m256i band_hi = _mm256_set1_epi32(static_cast<int>(2 * w));
   const __m256i one = _mm256_set1_epi32(1);
   const __m256 vthreshold = _mm256_set1_ps(threshold);
-  constexpr bool kRing = kDepth == 0;
-  // At step t, v holds step t-1's cells and v_prev step t-2's (read at
-  // kDepth 2); b_prev and b_prev2 hold the b vectors of steps t-1 and t-2.
-  __m256 v_prev = inf;
+  // Without the ring (s = 2), b_prev holds the b vector of step t-1.
   __m256 b_prev = inf;
-  __m256 b_prev2 = inf;
   alignas(32) float initial_b[kLanes];
-  for (size_t i = 0; i < (kRing ? depth : kDepth); ++i) {
+  for (size_t i = 0; i < depth; ++i) {
     DtwInitialB(b, n, w, s, kLanes, -1 - static_cast<ptrdiff_t>(i),
                 initial_b);
     // Ring slot i holds step i - depth: step -1-i sits in slot depth-1-i.
@@ -763,7 +760,7 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
       _mm256_store_ps(b_ring + (depth - 1 - i) * kLanes,
                       _mm256_load_ps(initial_b));
     } else {
-      (i == 0 ? b_prev : b_prev2) = _mm256_load_ps(initial_b);
+      b_prev = _mm256_load_ps(initial_b);
     }
   }
   __m256 va = inf;
@@ -773,7 +770,8 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
   __m256i k = _mm256_setzero_si256();
   __m256i row_end = _mm256_set1_epi32(-1);
   const size_t last_step = s * (n - 1) + w;
-  const size_t group = kRing ? s : kDepth + 1;  // steps per row start
+  // Steps per row start; a constant 2 lets the register path unroll.
+  const size_t group = kRing ? s : 2;
   size_t slot = 0;
   for (size_t row = 0, t = 0;; ++row) {
     const __m256 start = LaneMask256(row % kLanes);
@@ -794,8 +792,8 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
         up = RotateUp256(_mm256_load_ps(v_ring + slot * kLanes));
         bv = RotateUp256(_mm256_load_ps(b_ring + slot * kLanes));
       } else {
-        up = RotateUp256(kDepth == 1 ? v : v_prev);
-        bv = RotateUp256(kDepth == 1 ? b_prev : b_prev2);
+        up = RotateUp256(v);
+        bv = RotateUp256(b_prev);
       }
       if (phase == group - 1) {
         bv = _mm256_blendv_ps(
@@ -809,9 +807,9 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
           _mm256_cmpeq_epi32(_mm256_min_epu32(k, band_hi), k);
       const __m256 cost = _mm256_blendv_ps(inf, _mm256_mul_ps(d, d),
                                            _mm256_castsi256_ps(in_band));
-      v_prev = v;
-      // With up from s-1 >= 2 steps back, min(diag, up) is off the chain.
-      v = kDepth == 1
+      // In the ring, up is from s-1 >= 2 steps back: min(diag, up) is off
+      // the chain.
+      v = !kRing
               ? _mm256_add_ps(cost, _mm256_min_ps(_mm256_min_ps(v, diag), up))
               : _mm256_add_ps(cost, _mm256_min_ps(v, _mm256_min_ps(diag, up)));
       diag = up;
@@ -820,7 +818,6 @@ ODYSSEY_TARGET_AVX2 inline float DtwWavefront256(const float* a,
         _mm256_store_ps(b_ring + slot * kLanes, bv);
         if (++slot == depth) slot = 0;
       } else {
-        b_prev2 = b_prev;
         b_prev = bv;
       }
       row_min = _mm256_min_ps(row_min, v);
@@ -848,15 +845,8 @@ ODYSSEY_HOT float DtwAvx2K(const float* a, const float* b, size_t n,
   if (n == 0) return 0.0f;
   const size_t w = window < n ? window : n - 1;
   const size_t s = DtwRowSpacing(w, 8);
-  switch (s) {
-    case 2:
-      return DtwWavefront256<1>(a, b, n, w, s, threshold, scratch);
-    case 3:
-      return DtwWavefront256<2>(a, b, n, w, s, threshold, scratch);
-    default:
-      return DtwWavefront256<0>(a, b, n, w, s, threshold,
-                                AlignTo64(scratch));
-  }
+  if (s == 2) return DtwWavefront256<false>(a, b, n, w, s, threshold, scratch);
+  return DtwWavefront256<true>(a, b, n, w, s, threshold, AlignTo64(scratch));
 }
 
 ODYSSEY_TARGET_AVX2 inline void MaxMinPass256(float* hi, float* lo,
@@ -1086,7 +1076,7 @@ ODYSSEY_TARGET_AVX512 inline __m512 RotateUp512(__m512 x) {
 }
 
 /// The 16-lane wavefront (see "DTW wavefront" above), as DtwWavefront256.
-template <size_t kDepth>
+template <bool kRing>
 ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
                                                    const float* b, size_t n,
                                                    size_t w, size_t s,
@@ -1100,14 +1090,10 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
   const __m512i band_hi = _mm512_set1_epi32(static_cast<int>(2 * w));
   const __m512i one = _mm512_set1_epi32(1);
   const __m512 vthreshold = _mm512_set1_ps(threshold);
-  constexpr bool kRing = kDepth == 0;
-  // At step t, v holds step t-1's cells and v_prev step t-2's (read at
-  // kDepth 2); b_prev and b_prev2 hold the b vectors of steps t-1 and t-2.
-  __m512 v_prev = inf;
+  // Without the ring (s = 2), b_prev holds the b vector of step t-1.
   __m512 b_prev = inf;
-  __m512 b_prev2 = inf;
   alignas(64) float initial_b[kLanes];
-  for (size_t i = 0; i < (kRing ? depth : kDepth); ++i) {
+  for (size_t i = 0; i < depth; ++i) {
     DtwInitialB(b, n, w, s, kLanes, -1 - static_cast<ptrdiff_t>(i),
                 initial_b);
     // Ring slot i holds step i - depth: step -1-i sits in slot depth-1-i.
@@ -1116,7 +1102,7 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
       _mm512_store_ps(b_ring + (depth - 1 - i) * kLanes,
                       _mm512_load_ps(initial_b));
     } else {
-      (i == 0 ? b_prev : b_prev2) = _mm512_load_ps(initial_b);
+      b_prev = _mm512_load_ps(initial_b);
     }
   }
   __m512 va = inf;
@@ -1126,7 +1112,8 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
   __m512i k = _mm512_setzero_si512();
   __m512i row_end = _mm512_set1_epi32(-1);
   const size_t last_step = s * (n - 1) + w;
-  const size_t group = kRing ? s : kDepth + 1;  // steps per row start
+  // Steps per row start; a constant 2 lets the register path unroll.
+  const size_t group = kRing ? s : 2;
   size_t slot = 0;
   for (size_t row = 0, t = 0;; ++row) {
     const __mmask16 start = static_cast<__mmask16>(1u << (row % kLanes));
@@ -1143,8 +1130,8 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
         up = RotateUp512(_mm512_load_ps(v_ring + slot * kLanes));
         bv = RotateUp512(_mm512_load_ps(b_ring + slot * kLanes));
       } else {
-        up = RotateUp512(kDepth == 1 ? v : v_prev);
-        bv = RotateUp512(kDepth == 1 ? b_prev : b_prev2);
+        up = RotateUp512(v);
+        bv = RotateUp512(b_prev);
       }
       if (phase == group - 1) {
         bv = _mm512_mask_mov_ps(
@@ -1155,9 +1142,9 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
       const __m512 d = _mm512_sub_ps(va, bv);
       const __mmask16 in_band = _mm512_cmple_epu32_mask(k, band_hi);
       const __m512 cost = _mm512_mask_mul_ps(inf, in_band, d, d);
-      v_prev = v;
-      // With up from s-1 >= 2 steps back, min(diag, up) is off the chain.
-      v = kDepth == 1
+      // In the ring, up is from s-1 >= 2 steps back: min(diag, up) is off
+      // the chain.
+      v = !kRing
               ? _mm512_add_ps(cost, _mm512_min_ps(_mm512_min_ps(v, diag), up))
               : _mm512_add_ps(cost, _mm512_min_ps(v, _mm512_min_ps(diag, up)));
       diag = up;
@@ -1166,7 +1153,6 @@ ODYSSEY_TARGET_AVX512 inline float DtwWavefront512(const float* a,
         _mm512_store_ps(b_ring + slot * kLanes, bv);
         if (++slot == depth) slot = 0;
       } else {
-        b_prev2 = b_prev;
         b_prev = bv;
       }
       row_min = _mm512_min_ps(row_min, v);
@@ -1194,15 +1180,8 @@ ODYSSEY_HOT float DtwAvx512K(const float* a, const float* b, size_t n,
   if (n == 0) return 0.0f;
   const size_t w = window < n ? window : n - 1;
   const size_t s = DtwRowSpacing(w, 16);
-  switch (s) {
-    case 2:
-      return DtwWavefront512<1>(a, b, n, w, s, threshold, scratch);
-    case 3:
-      return DtwWavefront512<2>(a, b, n, w, s, threshold, scratch);
-    default:
-      return DtwWavefront512<0>(a, b, n, w, s, threshold,
-                                AlignTo64(scratch));
-  }
+  if (s == 2) return DtwWavefront512<false>(a, b, n, w, s, threshold, scratch);
+  return DtwWavefront512<true>(a, b, n, w, s, threshold, AlignTo64(scratch));
 }
 
 ODYSSEY_TARGET_AVX512 inline void MaxMinPass512(float* hi, float* lo,

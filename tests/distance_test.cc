@@ -779,9 +779,9 @@ TEST(SimdKernelTest, DtwBitIdenticalToScalar) {
   // exact EQ, no tolerance. The lengths sit below, at and past the 8 and 16
   // lanes of the wavefront kernels. The windows run from Euclidean (0)
   // through the full matrix (>= n) and cross the wavefront's changes of
-  // row spacing s = max(2, ceil((2w+1)/lanes)): 7/8 and 15/16 (s = 2 to 3
-  // on AVX2 and AVX-512), 11/12 and 23/24 (registers to the scratch ring
-  // on AVX2 and AVX-512), and 26 and 64 deeper in the ring. The
+  // row spacing s = max(2, ceil((2w+1)/lanes)): 7/8 and 15/16 (s = 2 in
+  // registers to s = 3 in the scratch ring on AVX2 and AVX-512), 11/12 and
+  // 23/24 (s = 3 to 4), and 26 and 64 deeper in the ring. The
   // thresholds sweep every distinct row minimum of a reference DP, so the
   // kernels abandon after each row in turn, the last one included.
   constexpr float kInf = std::numeric_limits<float>::infinity();
